@@ -10,8 +10,7 @@
 //                            engine's lock-free LatencyHistograms;
 //   * util_{ingest,repair,publish} — per-phase utilization fractions
 //                            derived from the PhaseTracer's epoch-
-//                            stamped span timeline (the honest baseline
-//                            a pipelined ingest restructure must beat);
+//                            stamped span timeline;
 //   * results/trace_observability.json — the same timeline as a
 //                            chrome://tracing / Perfetto-loadable file.
 //
@@ -159,9 +158,8 @@ int main(int argc, char** argv) {
         }
         return service->Ingest(w);
       });
-  // Drain the pipeline + publisher before reading histograms and the
-  // phase timeline: the tail windows' repair/publish spans land on the
-  // pipeline threads after Ingest acks.
+  // Bring the demand-gated frozen views level before the read
+  // sections below.
   service->Quiesce();
   report.Add("serving_events_per_sec", serving_eps_sec);
 
@@ -197,12 +195,10 @@ int main(int argc, char** argv) {
   AddHistogramKeys(&report, "publish", *om.publish_phase);
 
   // --- Part 3: per-phase utilization over the serving run's timeline.
-  // Ingest busy time lands on two tracks in the (default) pipelined
-  // mode — the caller mutating the primary and the pipeline thread
-  // advancing the repair replica — so it normalizes by 2; repair has S
-  // executor lanes; publish is the single publisher thread.
+  // Ingest busy time lands on the one writer track; repair has S
+  // executor lanes; publish has its own track.
   const auto totals = engine->phase_tracer()->ComputeTotals();
-  const double util_ingest = totals.Utilization(obs::Phase::kIngest, 2.0);
+  const double util_ingest = totals.Utilization(obs::Phase::kIngest);
   const double util_repair =
       totals.Utilization(obs::Phase::kRepair, static_cast<double>(S));
   const double util_publish = totals.Utilization(obs::Phase::kPublish);

@@ -19,21 +19,19 @@
 // owned-row table sizes versus the global-row-table model the pre-PR 5
 // snapshots carried (shardS_frozen_* keys).
 //
-// Since PR 9 the engine runs the three-stage pipeline by default
-// (ingest k+1 overlaps repair k overlaps publish k-1), so the report
-// additionally carries the pipeline story: per-stage utilization
-// (util_ingest / util_repair / util_publish from the phase tracer),
-// their sum pipeline_overlap_util (> 1.0 means the stages genuinely
-// overlap on a multi-core box), and publish_bytes_per_delta_byte — the
-// structural-sharing contract that each frozen publish allocates about
-// one delta's worth of bytes, FASTPPR_CHECKed at <= 1.5.
+// The report also carries per-stage utilization of the read-free
+// ingest run (util_ingest / util_repair / util_publish from the phase
+// tracer) and publish_bytes_per_delta_byte — the structural-sharing
+// contract that each frozen publish allocates about one delta's worth
+// of bytes, FASTPPR_CHECKed at <= 1.5. Frozen publishes are
+// demand-gated, so the ratio is taken from the section with concurrent
+// PersonalizedTopK readers, where the bench also checks that delta
+// publishes happened at all.
 //
-//   bench_sharded [--smoke] [--lockstep] [--json <path>]
+//   bench_sharded [--smoke] [--json <path>]
 //
 // --smoke shrinks the stream to CI size (seconds, not minutes) so the
-// report path is exercised on every push. --lockstep runs the
-// barrier-synced escape hatch instead of the pipeline (results are
-// bit-identical either way; the S=1/flat audit below holds for both).
+// report path is exercised on every push.
 
 #include <atomic>
 #include <cstdio>
@@ -77,10 +75,8 @@ std::vector<EdgeEvent> PowerLawEvents(std::size_t n, uint64_t seed) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool lockstep = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--lockstep") == 0) lockstep = true;
   }
 
   Banner("Sharded parallel engine: ingestion scaling + query service QPS",
@@ -111,7 +107,6 @@ int main(int argc, char** argv) {
   report.Add("num_events", m);
   report.Add("window", static_cast<double>(window));
   report.Add("smoke", smoke ? 1.0 : 0.0);
-  report.Add("lockstep", lockstep ? 1.0 : 0.0);
 
   // Flat baseline: one engine, same windows. Best-of-three fresh runs
   // (the box is shared; determinism makes the reps bit-identical).
@@ -165,8 +160,7 @@ int main(int argc, char** argv) {
     // engine and service of the last rep serve the query sections below
     // — every rep's final state is bit-identical by the determinism
     // contract.
-    ShardedOptions sopts{S, S};
-    sopts.lockstep = lockstep;
+    const ShardedOptions sopts{S, S};
     std::unique_ptr<ShardedEngine<IncrementalPageRank>> engine_holder;
     std::unique_ptr<QueryService<IncrementalPageRank>> service_holder;
     const double ingest_eps_sec = BestOfN(3, [&] {
@@ -179,45 +173,24 @@ int main(int argc, char** argv) {
           TimeWindows(events, window, [&](std::span<const EdgeEvent> w) {
             return service_holder->Ingest(w);
           });
-      // Quiesce outside the timed region: the timed rate is the
-      // pipeline's ACK rate (what a caller observes); the audits below
-      // are defined at the drained boundary.
+      // Ingest returns with each window applied, so the timed rate is
+      // the applied rate. Quiesce outside the timed region brings the
+      // demand-gated frozen views level for the sections below.
       service_holder->Quiesce();
       return eps_sec;
     });
     ShardedEngine<IncrementalPageRank>& engine = *engine_holder;
     QueryService<IncrementalPageRank>& service = *service_holder;
 
-    // Pipeline stage utilization over the ingest run just timed (the
-    // tracer covers this engine's lifetime, which so far is exactly
-    // that run). Ingest is recorded on two tracks in pipelined mode
-    // (primary mutate + replica advance), repair on S lanes, publish on
-    // one; pipeline_overlap_util sums the raw busy fractions — above
-    // 1.0 only when the stages genuinely overlap on spare cores.
+    // Stage utilization over the ingest run just timed (the tracer
+    // covers this engine's lifetime, which so far is exactly that run).
+    // Ingest is recorded on the writer track, repair on S lanes,
+    // publish on the publish track.
     const auto totals = engine.phase_tracer()->ComputeTotals();
-    const double util_ingest =
-        totals.Utilization(obs::Phase::kIngest, lockstep ? 1.0 : 2.0);
+    const double util_ingest = totals.Utilization(obs::Phase::kIngest);
     const double util_repair =
         totals.Utilization(obs::Phase::kRepair, static_cast<double>(S));
     const double util_publish = totals.Utilization(obs::Phase::kPublish);
-    const double overlap_util = totals.Utilization(obs::Phase::kIngest) +
-                                totals.Utilization(obs::Phase::kRepair) +
-                                totals.Utilization(obs::Phase::kPublish);
-
-    // The structural-sharing contract: frozen publishes allocated about
-    // one delta's worth of bytes per presented delta byte (full
-    // captures excluded on both sides of the ratio).
-    const auto volume = service.publish_volume();
-    const double publish_ratio =
-        volume.presented_bytes == 0
-            ? 0.0
-            : static_cast<double>(volume.publish_delta_bytes()) /
-                  static_cast<double>(volume.presented_bytes);
-    if (volume.publishes_delta > 0) {
-      FASTPPR_CHECK_MSG(publish_ratio <= 1.5,
-                        "structural-sharing publishes must stay near "
-                        "1x delta bytes");
-    }
 
     if (S == 1) {
       // Determinism audit: 1 shard == the flat engine, bit for bit.
@@ -337,6 +310,12 @@ int main(int argc, char** argv) {
         concurrent_walks.fetch_add(1, std::memory_order_relaxed);
       }
     });
+    // Start ingesting only once a read has armed the demand gate, so
+    // the publish-volume check below always has delta publishes to
+    // judge.
+    while (concurrent_walks.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
     const double ingest_eps_during_walks =
         TimeWindows(events, window, [&](std::span<const EdgeEvent> w) {
           return service3.Ingest(w);
@@ -347,6 +326,22 @@ int main(int argc, char** argv) {
     stop_walks.store(true, std::memory_order_release);
     walker.join();
     const double concurrent_personalized_qps = walks_done / walks_seconds;
+
+    // The structural-sharing contract: frozen publishes allocated about
+    // one delta's worth of bytes per presented delta byte (full
+    // captures excluded on both sides of the ratio).
+    const auto volume = service3.publish_volume();
+    FASTPPR_CHECK_MSG(volume.publishes_delta > 0,
+                      "concurrent personalized reads must drive delta "
+                      "frozen publishes");
+    const double publish_ratio =
+        volume.presented_bytes == 0
+            ? 0.0
+            : static_cast<double>(volume.publish_delta_bytes()) /
+                  static_cast<double>(volume.presented_bytes);
+    FASTPPR_CHECK_MSG(publish_ratio <= 1.5,
+                      "structural-sharing publishes must stay near "
+                      "1x delta bytes");
 
     table.AddRow({std::to_string(S), std::to_string(engine.num_threads()),
                   TablePrinter::Fmt(ingest_eps_sec, 0),
@@ -405,20 +400,16 @@ int main(int argc, char** argv) {
     report.Add(prefix + "_util_ingest", util_ingest);
     report.Add(prefix + "_util_repair", util_repair);
     report.Add(prefix + "_util_publish", util_publish);
-    report.Add(prefix + "_pipeline_overlap_util", overlap_util);
     report.Add(prefix + "_publish_bytes_per_delta_byte", publish_ratio);
     if (S == 4) {
-      // Headline pipeline keys from the canonical S=4 configuration.
+      // Headline stage keys from the canonical S=4 configuration.
       report.Add("util_ingest", util_ingest);
       report.Add("util_repair", util_repair);
       report.Add("util_publish", util_publish);
-      report.Add("pipeline_overlap_util", overlap_util);
       report.Add("publish_bytes_per_delta_byte", publish_ratio);
-      std::printf("pipeline (S=4): util ingest %.2f / repair %.2f / "
-                  "publish %.2f, overlap %.2f, publish bytes per delta "
-                  "byte %.3f\n\n",
-                  util_ingest, util_repair, util_publish, overlap_util,
-                  publish_ratio);
+      std::printf("stages (S=4): util ingest %.2f / repair %.2f / "
+                  "publish %.2f, publish bytes per delta byte %.3f\n\n",
+                  util_ingest, util_repair, util_publish, publish_ratio);
     }
   }
   table.Print();

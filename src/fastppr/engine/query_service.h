@@ -2,7 +2,7 @@
 #define FASTPPR_ENGINE_QUERY_SERVICE_H_
 
 // Concurrent serving layer over a ShardedEngine (see DESIGN.md
-// sections 4, 6 and 11).
+// sections 4 and 6).
 //
 // Ranking reads (TopK / Score) are served from epoch-stamped visit-count
 // snapshots, double-buffered per shard behind a seqlock: the boundary
@@ -23,15 +23,14 @@
 // clean chunks are shared with the previous view and freed by their
 // refcounts when the last pin drops.
 //
-// Publish pipelining: the service implements the engine's BoundarySink,
-// so snapshot publishing is driven by window-boundary callbacks instead
-// of the Ingest caller. In pipelined engine mode the callback runs on
-// the pipeline thread; it captures the boundary-frozen state (counts +
-// delta payloads) and hands assembly to a dedicated PUBLISHER thread —
-// publish of window k-1 overlaps repair of window k and ingest of
-// window k+1. In lockstep mode the callback runs inline on the caller
-// and frozen refreshes stay demand-gated (a writer with no personalized
-// readers skips them).
+// Publish policy: the service implements the engine's BoundarySink, so
+// every window boundary runs the publish inline on the Ingest caller.
+// Count snapshots flip at every boundary. Frozen views are demand-gated:
+// a boundary captures and assembles a new view only if a personalized
+// read arrived since the last frozen publish, so a writer with no
+// personalized readers skips the copies. A read that finds its view
+// behind refreshes it itself when the writer is idle; Quiesce() brings
+// a lagging view level.
 //
 // Consistency model:
 //  * Merged count reads: every per-shard read is torn-free and stamped
@@ -40,17 +39,16 @@
 //    *adjacent* epochs (reported via SnapshotInfo).
 //  * Personalized reads: the segment views and the adjacency view are
 //    flipped together, so one walk observes ONE epoch throughout
-//    (SnapshotInfo reports min_epoch == max_epoch). Reads lag live
-//    ingestion by at most the pipeline depth (lockstep: the in-flight
-//    window); Quiesce() is the freshness barrier.
+//    (SnapshotInfo reports min_epoch == max_epoch). A read lags the
+//    last applied window only while the writer is mid-window or no
+//    personalized read demanded the refresh; Quiesce() is the
+//    freshness barrier.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,7 +56,6 @@
 #include "fastppr/core/ppr_walker.h"
 #include "fastppr/core/ranking.h"
 #include "fastppr/core/salsa_walker.h"
-#include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/graph/types.h"
 #include "fastppr/obs/engine_metrics.h"
@@ -198,10 +195,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   static constexpr bool kIsSalsa =
       requires(const Engine& e) { e.AuthorityEstimate(NodeId{0}); };
   using Ctx = typename ShardedEngine<Engine>::BoundaryContext;
-  /// Boundary→publisher queue depth (pipelined engine mode): how many
-  /// captured-but-unassembled windows may stack up before window
-  /// boundaries backpressure on the publisher.
-  static constexpr std::size_t kPublishQueueCap = 4;
 
  public:
   /// Per-query walk statistics type (differs between the two engines).
@@ -228,28 +221,17 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
       seg_builders_.emplace_back(ownership_, s);
     }
-    if (!engine_->lockstep()) {
-      publisher_ = std::thread([this] { PublisherLoop(); });
-    }
     engine_->SetBoundarySink(this);
-    {
-      std::lock_guard<std::mutex> lock(window_mu_);
-      const Ctx ctx = engine_->QuiescentBoundaryContext();
-      PublishBoundary(ctx, /*full=*/true);
-    }
     // The ctor returns with a published view in place (readers CHECK
     // one exists).
-    WaitPublisherIdle();
+    Publish();
   }
 
   /// The engine outlives the service: detach the boundary sink and hand
   /// the delta feeds back so it stops paying for a serving layer that
   /// no longer exists.
   ~QueryService() override {
-    Quiesce();
     engine_->SetBoundarySink(nullptr);
-    publish_q_.Close();
-    if (publisher_.joinable()) publisher_.join();
     engine_->DisableAppliedEdgeTracking();
     for (std::size_t s = 0; s < engine_->num_shards(); ++s) {
       auto* store = engine_->shard(s).mutable_walk_store();
@@ -264,9 +246,8 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   ShardedEngine<Engine>* engine() { return engine_; }
 
   /// Applies one ingestion window; snapshots publish at the window
-  /// boundary (inline in lockstep, downstream of the pipeline
-  /// otherwise). On a failed event the applied prefix is still
-  /// repaired and published.
+  /// boundary before it returns. On a failed event the applied prefix
+  /// is still repaired and published.
   Status Ingest(std::span<const EdgeEvent> window) {
     std::lock_guard<std::mutex> lock(window_mu_);
     return engine_->ApplyEvents(window);
@@ -274,26 +255,32 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
 
   /// Re-publishes snapshots of the engine's current state (for callers
   /// that mutated the engine directly — the delta feeds may have missed
-  /// those mutations, so the frozen views are fully rebuilt). Blocks
-  /// until the rebuilt view is live.
+  /// those mutations, so the frozen views are fully rebuilt). The
+  /// rebuilt view is live on return.
   void Publish() {
     std::lock_guard<std::mutex> lock(window_mu_);
-    const Ctx ctx = engine_->QuiescentBoundaryContext();
-    PublishBoundary(ctx, /*full=*/true);
-    WaitPublisherIdle();
+    PublishBoundary(engine_->QuiescentBoundaryContext(), /*full=*/true);
   }
 
-  /// The freshness barrier: blocks until every window submitted through
-  /// Ingest() is fully applied AND its snapshot publishes are live.
-  /// No-op cost in lockstep mode. (Differential tests compare states
-  /// across engines at quiesced boundaries.)
+  /// The freshness barrier: waits out an in-flight Ingest(), then
+  /// publishes the frozen views if the demand gate left them behind, so
+  /// every read class serves published_epoch() on return.
   void Quiesce() {
-    engine_->Drain();
-    WaitPublisherIdle();
+    std::lock_guard<std::mutex> lock(window_mu_);
+    if (frozen_epoch() != published_epoch()) {
+      PublishFrozen(engine_->QuiescentBoundaryContext(), /*full=*/false);
+    }
+  }
+
+  /// Arms the next window boundary's frozen refresh without pinning a
+  /// view — for reads answered without one (result-cache hits), so they
+  /// count toward the demand gate like a pinned read.
+  void DemandFrozenRefresh() {
+    frozen_demand_.store(true, std::memory_order_relaxed);
   }
 
   /// Epoch of the most recent window boundary's count publish (frozen
-  /// views may trail by the publish queue depth in pipelined mode).
+  /// views trail it while no personalized read demanded a refresh).
   uint64_t published_epoch() const {
     return published_epoch_.load(std::memory_order_acquire);
   }
@@ -349,9 +336,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
         out.adjacency_bytes = pin->graph->MemoryBytes();
       }
     }
-    // Drop the pin under the view mutex (the unpin contract).
-    std::lock_guard<std::mutex> lock(view_mu_);
-    pin.reset();
+    Unpin(&pin);
     return out;
   }
 
@@ -465,57 +450,9 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(seed));
-    // Arm the next window boundary's frozen refresh (lockstep's demand
-    // gate; pipelined publishes unconditionally, so the flag is inert).
-    frozen_demand_.store(true, std::memory_order_relaxed);
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
-    if (engine_->lockstep() && pin->graph->epoch() != published_epoch() &&
-        window_mu_.try_lock()) {
-      // Lockstep only: the view lags the engine (frozen publishes were
-      // skipped while no personalized reads were in flight) and the
-      // writer is idle, so this reader pays the refresh itself, then
-      // re-pins — holding the window mutex across the rebuild, so a
-      // writer arriving exactly now waits for it (the one
-      // reader-stalls-writer exception; it needs an idle writer to
-      // trigger, so it cannot recur under steady ingestion). If the
-      // writer is mid-window instead, the stale view is served as-is
-      // (stamped in `info`) and the demand flag freshens the next
-      // boundary. The pipelined mode never takes this branch: views
-      // refresh at every boundary, and transient lag is just the
-      // pipeline depth.
-      std::lock_guard<std::mutex> lock(window_mu_, std::adopt_lock);
-      if (hot) om_.snapshot_refreshes->Add(1);
-      const Ctx ctx = engine_->QuiescentBoundaryContext();
-      PublishJob job;
-      job.epoch = ctx.epoch;
-      job.full = false;
-      CaptureJob(ctx, /*full=*/false, &job);
-      AssembleAndFlip(std::move(job));
-      // The demand flag stays armed: clearing it here could erase a
-      // demand another reader raised concurrently, letting the writer
-      // skip a boundary it owed — the cost of leaving it set is at most
-      // one redundant (delta, usually empty) publish.
-      std::lock_guard<std::mutex> view_lock(view_mu_);
-      pin = frozen_view_;
-    }
-    if (info != nullptr) {
-      // Audited, not assumed: min/max span the adjacency AND every
-      // segment view, so the single-epoch contract's assertions in the
-      // tests and bench actually bite if a publish ever flips them at
-      // different epochs.
-      info->min_epoch = pin->graph->epoch();
-      info->max_epoch = pin->graph->epoch();
-      for (const auto& segs : pin->segments) {
-        info->min_epoch = std::min(info->min_epoch, segs->epoch());
-        info->max_epoch = std::max(info->max_epoch, segs->epoch());
-      }
-    }
+    SnapshotInfo si;
+    std::shared_ptr<const FrozenViewSet> pin = PinFrozen(hot, &si);
+    if (info != nullptr) *info = si;
     const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
                                  walks_per_node_, epsilon_);
     Status status;
@@ -530,15 +467,7 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       status = walker.TopK(seed, k, length, exclude_friends, rng_seed,
                            ranked, walk_stats);
     }
-    // Drop the pin under the view mutex: the flip and the last unpin
-    // stay mutually ordered, so the chunk refcounts a dropped view
-    // releases (freeing unshared chunks) fall at deterministic points —
-    // the memory tests rely on that, and readers pay one uncontended
-    // lock per query for it.
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
-    }
+    Unpin(&pin);
     if (hot) om_.query_personalized->Record(obs::NowNanos() - t0);
     return status;
   }
@@ -573,29 +502,15 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   /// path, so every item's answer is bit-identical to an unbatched
   /// PersonalizedTopK at the same epoch (the differential test's
   /// contract). Item statuses are reported per item; the call itself
-  /// cannot fail. The lockstep self-refresh branch is intentionally
-  /// skipped: batching is a serving-tier feature and the tier runs
-  /// pipelined, where views refresh at every boundary anyway.
+  /// cannot fail. The pin is the unbatched path's (PinFrozen), idle-writer
+  /// self-refresh included.
   void PersonalizedTopKInto(std::span<PersonalizedBatchQuery> batch,
                             PersonalizedScratch* scratch,
                             serve::ClockFn clock = &obs::NowNanos) {
     if (batch.empty()) return;
     const bool hot = engine_->metrics_enabled();
-    frozen_demand_.store(true, std::memory_order_relaxed);
-    std::shared_ptr<const FrozenViewSet> pin;
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin = frozen_view_;
-    }
-    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
-                      "no published snapshot to serve from");
     SnapshotInfo si;
-    si.min_epoch = pin->graph->epoch();
-    si.max_epoch = pin->graph->epoch();
-    for (const auto& segs : pin->segments) {
-      si.min_epoch = std::min(si.min_epoch, segs->epoch());
-      si.max_epoch = std::max(si.max_epoch, segs->epoch());
-    }
+    std::shared_ptr<const FrozenViewSet> pin = PinFrozen(hot, &si);
     const FrozenSegmentView view(&pin->segments, pin->ownership.get(),
                                  walks_per_node_, epsilon_);
     for (PersonalizedBatchQuery& q : batch) {
@@ -625,17 +540,15 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     }
     // One pin for the whole batch: account it to the first item's shard.
     if (hot) om_.snapshot_pins->Add(1, engine_->shard_of(batch[0].seed));
-    {
-      std::lock_guard<std::mutex> lock(view_mu_);
-      pin.reset();
-    }
+    Unpin(&pin);
   }
 
   /// Epoch of the currently published frozen view — the result cache's
-  /// key component. Read under the pin mutex, so it is exactly the epoch
-  /// a PersonalizedTopK pinning "now" would serve (modulo a concurrent
-  /// rotation, which only turns a would-be hit into a miss or a
-  /// same-epoch insert — never a stale hit).
+  /// lookup key component. It is a lower bound on the epoch a pin taken
+  /// next would serve: a rotation, or a pin's own idle-writer refresh,
+  /// can move the view forward first. The cache stays correct because
+  /// it keys each insert by the answer's own snapshot.min_epoch, not by
+  /// this value.
   uint64_t frozen_epoch() const {
     std::lock_guard<std::mutex> lock(view_mu_);
     return frozen_view_ != nullptr && frozen_view_->graph != nullptr
@@ -653,15 +566,6 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     std::vector<std::shared_ptr<const FrozenSegments>> segments;
     std::shared_ptr<const SegmentOwnership> ownership;
     std::shared_ptr<const FrozenAdjacency> graph;
-  };
-
-  /// One window's captured-but-unassembled publish payload, moved from
-  /// the boundary thread to the publisher thread.
-  struct PublishJob {
-    uint64_t epoch = 0;
-    bool full = false;
-    std::vector<snap::CapturedRows<uint64_t>> segments;
-    AdjacencyCapture adjacency;
   };
 
   /// StoreView over the pinned frozen copies, routing each node's
@@ -692,57 +596,82 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     double epsilon_;
   };
 
-  /// The engine's window-boundary callback (BoundarySink): pipeline
-  /// thread in pipelined mode, the Ingest caller in lockstep.
+  /// Pins the current frozen view for one read (or one batch) and
+  /// reports its audited epoch span in `info`. Arms the next boundary's
+  /// frozen refresh (the demand gate). If the view lags published_epoch()
+  /// and the writer is idle, this reader refreshes it first, holding the
+  /// window mutex across the rebuild so a writer arriving now waits (the
+  /// one reader-stalls-writer exception; it needs an idle writer, so it
+  /// cannot recur under steady ingestion). With the writer mid-window the
+  /// stale view is served as-is, stamped in `info`, and the armed demand
+  /// freshens the next boundary.
+  std::shared_ptr<const FrozenViewSet> PinFrozen(bool hot,
+                                                 SnapshotInfo* info) {
+    DemandFrozenRefresh();
+    std::shared_ptr<const FrozenViewSet> pin;
+    {
+      std::lock_guard<std::mutex> lock(view_mu_);
+      pin = frozen_view_;
+    }
+    FASTPPR_CHECK_MSG(pin != nullptr && pin->graph != nullptr,
+                      "no published snapshot to serve from");
+    if (pin->graph->epoch() != published_epoch() && window_mu_.try_lock()) {
+      std::lock_guard<std::mutex> lock(window_mu_, std::adopt_lock);
+      if (hot) om_.snapshot_refreshes->Add(1);
+      PublishFrozen(engine_->QuiescentBoundaryContext(), /*full=*/false);
+      // The demand flag stays armed: clearing it here could erase a
+      // demand another reader raised concurrently, letting the writer
+      // skip a boundary it owed — the cost of leaving it set is at most
+      // one redundant (delta, usually empty) publish.
+      std::lock_guard<std::mutex> view_lock(view_mu_);
+      pin = frozen_view_;
+    }
+    // Audited, not assumed: min/max span the adjacency AND every segment
+    // view, so the single-epoch contract's assertions in the tests and
+    // bench actually bite if a publish ever flips them at different
+    // epochs.
+    info->min_epoch = pin->graph->epoch();
+    info->max_epoch = pin->graph->epoch();
+    for (const auto& segs : pin->segments) {
+      info->min_epoch = std::min(info->min_epoch, segs->epoch());
+      info->max_epoch = std::max(info->max_epoch, segs->epoch());
+    }
+    return pin;
+  }
+
+  /// Drops a pin under the view mutex: the flip and the last unpin stay
+  /// mutually ordered, so the chunk refcounts a dropped view releases
+  /// (freeing unshared chunks) fall at deterministic points — the memory
+  /// tests rely on that, and readers pay one uncontended lock per query
+  /// for it.
+  void Unpin(std::shared_ptr<const FrozenViewSet>* pin) const {
+    std::lock_guard<std::mutex> lock(view_mu_);
+    pin->reset();
+  }
+
+  /// The engine's window-boundary callback (BoundarySink), run inline on
+  /// the Ingest caller.
   void OnWindowBoundary(const Ctx& ctx) override {
     PublishBoundary(ctx, /*full=*/false);
   }
 
-  /// One boundary's publish work on the boundary thread: seqlock count
-  /// flips (cheap, every window), then the frozen-view delta capture —
-  /// assembled inline in lockstep (demand-gated), handed to the
-  /// publisher thread otherwise.
+  /// One boundary's publish work: seqlock count flips (cheap, every
+  /// window), then — only if a personalized read demanded it, or the
+  /// caller forces a full rebuild — the frozen-view publish.
   void PublishBoundary(const Ctx& ctx, bool full) {
     PublishCounts(ctx);
     // Advance the published epoch BEFORE the frozen flip: a reader that
     // pins a view must never observe its epoch ahead of
     // published_epoch() (the staleness invariant the tests assert).
     published_epoch_.store(ctx.epoch, std::memory_order_release);
-    const bool lockstep = engine_->lockstep();
-    if (lockstep && !full &&
-        !frozen_demand_.exchange(false, std::memory_order_relaxed)) {
-      // Demand-driven frozen refresh: the delta copies are paid only
-      // when a personalized read happened since the last frozen publish
-      // — a lockstep writer with no personalized readers ingests at
-      // full speed while the dirty feeds accumulate (bounded by their
-      // overflow caps). The pipelined mode publishes every boundary
-      // instead: the work rides the publisher thread, off the ingest
-      // critical path.
+    // Demand-driven frozen refresh: the delta copies are paid only when
+    // a personalized read happened since the last frozen publish — a
+    // writer with no personalized readers ingests at full speed while
+    // the dirty feeds accumulate (bounded by their overflow caps).
+    if (!full && !frozen_demand_.exchange(false, std::memory_order_relaxed)) {
       return;
     }
-    PublishJob job;
-    job.epoch = ctx.epoch;
-    job.full = full;
-    CaptureJob(ctx, full, &job);
-    if (lockstep) {
-      AssembleAndFlip(std::move(job));
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      ++inflight_;
-    }
-    if (!publish_q_.Push(std::move(job))) {
-      // Closed queue (service teardown) — the boundary is already past
-      // the sink detach, so the job is dropped, not owed.
-      std::lock_guard<std::mutex> lock(idle_mu_);
-      --inflight_;
-      idle_cv_.notify_all();
-      return;
-    }
-    if (engine_->metrics_enabled()) {
-      om_.pipeline_publish_queue_hw->Set(publish_q_.high_water());
-    }
+    PublishFrozen(ctx, full);
   }
 
   /// Publishes the seqlock count snapshots from the boundary context.
@@ -763,14 +692,13 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
     if (engine_->metrics_enabled()) om_.count_publishes->Add(1);
   }
 
-  /// Boundary-thread half of a frozen publish: reads the
-  /// boundary-frozen stores and graph into a self-contained job and
-  /// clears the delta feeds. Everything live is read HERE; the
-  /// assembly half touches only builder/publish state.
-  void CaptureJob(const Ctx& ctx, bool full, PublishJob* job) {
+  /// One frozen publish: capture the boundary-frozen stores and graph
+  /// (clearing their delta feeds), fold the captures into the shared
+  /// chains, and flip the view pointer.
+  void PublishFrozen(const Ctx& ctx, bool full) {
     const bool hot = engine_->metrics_enabled();
     const uint64_t graph_epoch = ctx.graph->epoch();
-    job->segments.resize(snapshots_.size());
+    std::vector<snap::CapturedRows<uint64_t>> segments(snapshots_.size());
     for (std::size_t s = 0; s < snapshots_.size(); ++s) {
       auto* store = ctx.shards[s]->mutable_walk_store();
       if (hot) {
@@ -778,37 +706,28 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       }
       seg_builders_[s].Capture(*store, store->dirty_segments(),
                                full || store->dirty_overflowed(),
-                               &job->segments[s]);
+                               &segments[s]);
       store->ClearDirtySegments();
     }
+    AdjacencyCapture adjacency;
     adj_builder_.Capture(*ctx.graph, ctx.applied->entries(),
-                         full || ctx.applied->overflowed(),
-                         &job->adjacency);
+                         full || ctx.applied->overflowed(), &adjacency);
     ctx.applied->Clear();
     // The single-writer contract, checked like the engine's repair
     // phases: the boundary graph must not have moved while we copied
-    // from it (in pipelined mode the PRIMARY may move freely — the
-    // capture reads the repair replica).
+    // from it.
     FASTPPR_CHECK_MSG(ctx.graph->epoch() == graph_epoch,
                       "graph mutated during a snapshot capture");
-  }
 
-  /// Publisher half: fold the capture into the shared chains and flip
-  /// the view pointer. Runs on the publisher thread in pipelined mode
-  /// (overlapping the next windows' ingest and repair), inline on the
-  /// boundary thread in lockstep.
-  void AssembleAndFlip(PublishJob&& job) {
-    const bool hot = engine_->metrics_enabled();
     const uint64_t t0 = hot ? obs::NowNanos() : 0;
     auto fresh = std::make_shared<FrozenViewSet>();
-    fresh->segments.resize(job.segments.size());
-    for (std::size_t s = 0; s < job.segments.size(); ++s) {
+    fresh->segments.resize(segments.size());
+    for (std::size_t s = 0; s < segments.size(); ++s) {
       fresh->segments[s] =
-          seg_builders_[s].Assemble(std::move(job.segments[s]), job.epoch);
+          seg_builders_[s].Assemble(std::move(segments[s]), ctx.epoch);
     }
     fresh->ownership = ownership_;
-    fresh->graph = adj_builder_.Assemble(std::move(job.adjacency),
-                                         job.epoch);
+    fresh->graph = adj_builder_.Assemble(std::move(adjacency), ctx.epoch);
     {
       std::lock_guard<std::mutex> lock(view_mu_);
       frozen_view_ = std::move(fresh);
@@ -817,31 +736,14 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
       // "full" here means the caller forced a rebuild; per-shard
       // overflow-forced copies still count as delta publishes (the
       // decision was the delta path's).
-      (job.full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
+      (full ? om_.frozen_publishes_full : om_.frozen_publishes_delta)
           ->Add(1);
       const uint64_t t1 = obs::NowNanos();
       om_.publish_phase->Record(t1 - t0);
       engine_->phase_tracer()->Record(engine_->publish_track(),
-                                      obs::Phase::kPublish, job.epoch, t0,
+                                      obs::Phase::kPublish, ctx.epoch, t0,
                                       t1);
     }
-  }
-
-  void PublisherLoop() {
-    PublishJob job;
-    while (publish_q_.Pop(&job)) {
-      AssembleAndFlip(std::move(job));
-      {
-        std::lock_guard<std::mutex> lock(idle_mu_);
-        --inflight_;
-      }
-      idle_cv_.notify_all();
-    }
-  }
-
-  void WaitPublisherIdle() {
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    idle_cv_.wait(lock, [&] { return inflight_ == 0; });
   }
 
   ShardedEngine<Engine>* engine_;
@@ -856,23 +758,13 @@ class QueryService : private ShardedEngine<Engine>::BoundarySink {
   std::atomic<uint64_t> published_epoch_{0};
 
   /// Personalized-read state. `view_mu_` orders only pointer pins,
-  /// unpins and flips; the builders are touched only by the boundary
-  /// thread (Capture) and the publisher thread (Assemble), whose member
-  /// footprints are disjoint.
+  /// unpins and flips; the builders are touched only by publishes, which
+  /// run under window_mu_.
   mutable std::mutex view_mu_;
   std::atomic<bool> frozen_demand_{false};
   std::shared_ptr<const FrozenViewSet> frozen_view_;
   std::vector<SegmentSnapshotBuilder> seg_builders_;
   AdjacencySnapshotBuilder adj_builder_;
-
-  /// Publisher-thread state (pipelined engine mode only; the thread is
-  /// never started in lockstep). `inflight_` counts enqueued jobs not
-  /// yet flipped, guarded by `idle_mu_`.
-  pipe::BoundedQueue<PublishJob> publish_q_{kPublishQueueCap};
-  std::thread publisher_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::size_t inflight_ = 0;
 };
 
 }  // namespace fastppr

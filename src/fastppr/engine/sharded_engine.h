@@ -3,7 +3,7 @@
 
 // Node-partitioned parallel execution of the incremental Monte Carlo
 // engines over ONE shared social graph (see DESIGN.md sections 4-5 and,
-// for the pipelined execution model, section 11).
+// for why there is one execution mode, section 11).
 //
 // The paper's deployment is inherently partitioned: walk segments live
 // in a sharded PageRank Store behind a FlockDB-like Social Store. This
@@ -23,25 +23,11 @@
 // accidental mutation under concurrent repairs aborts loudly instead of
 // racing silently.
 //
-// Execution modes (ShardedOptions::lockstep):
-//  * LOCKSTEP — the PR 2-8 model: the calling thread runs ingest and
-//    repair phases back to back on the one shared store and returns
-//    with the window fully applied.
-//  * PIPELINED (default) — ingest of window k+1 overlaps repair of
-//    window k overlaps publish of window k-1. The caller mutates the
-//    PRIMARY store and hands each applied chunk to a pipeline thread
-//    over a bounded queue; the pipeline thread replays the chunk into a
-//    REPAIR REPLICA store (the one the shards are bound to), queues one
-//    repair task per shard into bounded per-shard queues, and drains
-//    them through the ThreadPool. Within one chunk the advance/repair
-//    alternation is unchanged — that is exactly the single-writer epoch
-//    contract, now honored by the pipeline thread — so the replica
-//    replays the primary's mutation sequence bit-identically and every
-//    shard repairs against the identical frozen graph state it would
-//    have seen in lockstep. Window boundaries retire in FIFO order
-//    (windows_applied trails windows_submitted); getters that read
-//    repair-side state Drain() the pipeline first, so every observable
-//    result is bit-identical to lockstep.
+// One execution mode: the calling thread runs the ingest and repair
+// phases of a window back to back on the one shared store, runs the
+// window-boundary hook (the query service's publish) inline, and
+// returns with the window fully applied. Every getter therefore
+// observes a window boundary.
 //
 // Event routing is a *broadcast*, not a split: an arriving edge (u, v)
 // reroutes stored walks that VISIT u (Proposition 2), and walks visiting
@@ -52,19 +38,17 @@
 // of the event belongs to shard_of(src); ShardRouter accounts it there).
 //
 // Determinism contract: per-shard RNG streams depend only on (seed,
-// shard_count), never on thread count, scheduling or execution mode,
-// and sampling is defined over the bound slab's canonical slot order —
-// so results are bit-identical for any number of worker threads,
-// pipelined or lockstep, and a 1-shard engine consumes the identical
+// shard_count), never on thread count or scheduling, and sampling is
+// defined over the bound slab's canonical slot order — so results are
+// bit-identical for any number of worker threads, and a 1-shard engine
+// consumes the identical
 // stream as the flat engine (Mix64(0) == 0; the flat engine's chunk
 // loop interleaves mutation and repair in exactly the same order).
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -73,7 +57,6 @@
 
 #include "fastppr/core/incremental_pagerank.h"
 #include "fastppr/core/ranking.h"
-#include "fastppr/engine/ingest_pipeline.h"
 #include "fastppr/engine/thread_pool.h"
 #include "fastppr/obs/engine_metrics.h"
 #include "fastppr/obs/latency_histogram.h"
@@ -102,17 +85,6 @@ struct ShardedOptions {
   /// Worker threads for parallel repair; 0 = min(num_shards,
   /// hardware_concurrency). Any value yields bit-identical results.
   std::size_t num_threads = 0;
-  /// Escape hatch: run the pre-pipeline barrier-synced execution model
-  /// (ApplyEvents returns with the window fully applied and no pipeline
-  /// thread exists). Results are bit-identical either way; lockstep
-  /// trades the ingest/repair/publish overlap for strictly synchronous
-  /// semantics. Also the reference side of the differential tests.
-  bool lockstep = false;
-  /// Pipelined mode: capacity of the caller→pipeline chunk queue
-  /// (backpressure bound on how far ingest may run ahead of repair).
-  std::size_t pipeline_queue_capacity = 8;
-  /// Pipelined mode: capacity of each shard's repair work queue.
-  std::size_t repair_queue_capacity = 16;
 };
 
 /// Routing policy for one ingestion window. Repairs broadcast (see the
@@ -198,26 +170,22 @@ struct DurabilityOptions {
 template <typename Engine>
 class ShardedEngine {
  public:
-  /// Everything a window-boundary callback may touch, passed by value
-  /// so the callee NEVER calls back into the engine's (auto-draining)
-  /// getters from the pipeline thread — that would self-deadlock.
-  /// `shards` and `graph` are frozen until the callback returns (the
-  /// boundary runs strictly after the window's last repair joined and
-  /// strictly before the next window's first replica mutation).
+  /// Everything a window-boundary callback may touch. `shards` and
+  /// `graph` are frozen until the callback returns (the boundary runs
+  /// strictly after the window's last repair joined and strictly before
+  /// the next window's first mutation).
   struct BoundaryContext {
     uint64_t epoch = 0;                    ///< windows applied INCLUDING
                                            ///  this one
     std::span<Engine* const> shards;
     const DiGraph* graph = nullptr;        ///< the boundary-frozen graph
-                                           ///  (repair replica when
-                                           ///  pipelined)
     slab::DirtyFeed<Edge>* applied = nullptr;  ///< applied-edge feed
                                                ///  (owner may Clear it)
   };
 
   /// Window-boundary hook (the publish stage's upstream): invoked once
-  /// per applied window — on the pipeline thread in pipelined mode,
-  /// inline on the caller in lockstep — always at a quiescent boundary.
+  /// per applied window, inline on the ingesting caller, always at a
+  /// quiescent boundary.
   class BoundarySink {
    public:
     virtual ~BoundarySink() = default;
@@ -230,7 +198,7 @@ class ShardedEngine {
         router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(sharding, /*for_recovery=*/false);
+    Init(/*for_recovery=*/false);
   }
 
   ShardedEngine(const DiGraph& initial, const MonteCarloOptions& opts,
@@ -240,14 +208,7 @@ class ShardedEngine {
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(initial.num_nodes())) {
     social_->ImportGraph(initial);
-    Init(sharding, /*for_recovery=*/false);
-  }
-
-  ~ShardedEngine() {
-    if (pipe_ != nullptr) {
-      pipe_->advance.Close();
-      if (pipe_->thread.joinable()) pipe_->thread.join();
-    }
+    Init(/*for_recovery=*/false);
   }
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -256,46 +217,22 @@ class ShardedEngine {
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t num_threads() const { return pool_.num_threads(); }
   std::size_t num_nodes() const { return social_->num_nodes(); }
-  /// Live (primary-store) edge count; reflects every ApplyEvents that
-  /// returned, even while repairs are still in flight.
   std::size_t num_edges() const { return social_->num_edges(); }
-  uint64_t arrivals() const {
-    Drain();
-    return shards_[0]->arrivals();
-  }
-  uint64_t removals() const {
-    Drain();
-    return shards_[0]->removals();
-  }
+  uint64_t arrivals() const { return shards_[0]->arrivals(); }
+  uint64_t removals() const { return shards_[0]->removals(); }
   /// Ingestion windows fully applied (repairs included) so far — the
-  /// snapshot epoch source. Drains the pipeline, so the value equals
-  /// the windows submitted by every returned ApplyEvents call.
-  uint64_t windows_applied() const {
-    Drain();
-    return windows_applied_.load(std::memory_order_relaxed);
-  }
-
-  /// True when running the barrier-synced escape hatch
-  /// (ShardedOptions::lockstep); false in the pipelined default.
-  bool lockstep() const { return pipe_ == nullptr; }
+  /// snapshot epoch source and the WAL record number of the next window.
+  uint64_t windows_applied() const { return windows_applied_; }
 
   const MonteCarloOptions& options() const { return base_options_; }
   const ShardRouter& router() const { return router_; }
 
-  Engine& shard(std::size_t s) {
-    Drain();
-    return *shards_[s];
-  }
-  const Engine& shard(std::size_t s) const {
-    Drain();
-    return *shards_[s];
-  }
+  Engine& shard(std::size_t s) { return *shards_[s]; }
+  const Engine& shard(std::size_t s) const { return *shards_[s]; }
   std::size_t shard_of(NodeId u) const { return router_.shard_of(u); }
 
   /// The ONE shared Social Store all shards' repairs broadcast over —
-  /// the PRIMARY the single-writer caller mutates. In pipelined mode
-  /// the shards read the repair replica instead (same content at every
-  /// chunk boundary); in lockstep they read this store directly.
+  /// the store the single-writer caller mutates and every shard reads.
   SocialStore& social_store() { return *social_; }
   const SocialStore& social_store() const { return *social_; }
   const DiGraph& graph() const { return social_->graph(); }
@@ -303,13 +240,12 @@ class ShardedEngine {
   /// Heap bytes of the shared graph storage. With per-shard replicas
   /// (the PR 2 architecture) this would be paid num_shards() times;
   /// sharing collapses it to one copy — the number bench_sharded
-  /// reports as the replica-elimination saving. The pipelined repair
-  /// replica adds a second copy (the overlap's memory price; reported
-  /// separately by RepairReplicaBytes).
+  /// reports as the replica-elimination saving.
   std::size_t GraphMemoryBytes() const { return social_->MemoryBytes(); }
-  std::size_t RepairReplicaBytes() const {
-    return pipe_ != nullptr ? repair_social_->MemoryBytes() : 0;
-  }
+  /// Heap bytes of graph copies beyond the shared store: always 0, since
+  /// the shards repair against the one store the caller mutates. Kept so
+  /// reports that track a second graph copy keep their key.
+  std::size_t RepairReplicaBytes() const { return 0; }
 
   /// The dense owned-segment addressing of this engine's partition (see
   /// store/segment_snapshot.h): a pure function of (num_nodes,
@@ -328,10 +264,8 @@ class ShardedEngine {
   /// accumulates into applied_edges() until the feed is cleared. Off by
   /// default so engines without a serving layer pay nothing; bounded at
   /// 4 edges per node (slab::DirtyFeed overflow — the next adjacency
-  /// snapshot then full-copies). In pipelined mode the feed is written
-  /// by the pipeline thread (it belongs to the repair/publish side).
+  /// snapshot then full-copies).
   void EnableAppliedEdgeTracking() {
-    Drain();
     // Two attached services would consume each other's delta feeds and
     // silently serve stale-but-freshly-stamped snapshots; fail loudly.
     FASTPPR_CHECK_MSG(!applied_.tracking(),
@@ -340,78 +274,45 @@ class ShardedEngine {
     applied_.SetTracking(true);
   }
   void DisableAppliedEdgeTracking() {
-    Drain();
     applied_.SetTracking(false);
     applied_.Clear();
   }
-  std::span<const Edge> applied_edges() const {
-    Drain();
-    return applied_.entries();
-  }
-  bool applied_edges_overflowed() const {
-    Drain();
-    return applied_.overflowed();
-  }
-  void ClearAppliedEdges() {
-    Drain();
-    applied_.Clear();
-  }
+  std::span<const Edge> applied_edges() const { return applied_.entries(); }
+  bool applied_edges_overflowed() const { return applied_.overflowed(); }
+  void ClearAppliedEdges() { applied_.Clear(); }
 
-  /// Installs (or clears, with nullptr) the window-boundary hook. The
-  /// pipeline is drained first, so the sink misses no boundary and a
-  /// cleared sink is never called again.
-  void SetBoundarySink(BoundarySink* sink) {
-    Drain();
-    sink_.store(sink, std::memory_order_release);
-  }
+  /// Installs (or clears, with nullptr) the window-boundary hook. Call
+  /// it from the ingesting thread (or with ingestion stopped).
+  void SetBoundarySink(BoundarySink* sink) { sink_ = sink; }
 
-  /// A boundary context for out-of-band publishes (service
-  /// construction, forced full refreshes): drains the pipeline and
-  /// describes the now-quiescent state.
+  /// A boundary context describing the current window boundary, for
+  /// out-of-band publishes (service construction, forced full
+  /// refreshes). Call it from the ingesting thread or with the writer
+  /// excluded.
   BoundaryContext QuiescentBoundaryContext() {
-    Drain();
     BoundaryContext ctx;
-    ctx.epoch = windows_applied_.load(std::memory_order_relaxed);
+    ctx.epoch = windows_applied_;
     ctx.shards = std::span<Engine* const>(shard_ptrs_);
-    ctx.graph = &boundary_graph();
+    ctx.graph = &social_->graph();
     ctx.applied = &applied_;
     return ctx;
   }
 
-  /// Blocks until every submitted window is fully applied (repairs run,
-  /// boundary sink returned). No-op in lockstep mode; never needed for
-  /// correctness by external callers — every getter that observes
-  /// repair-side state drains implicitly.
-  void Drain() const {
-    if (pipe_ == nullptr) return;
-    const uint64_t target = windows_submitted_.load(std::memory_order_acquire);
-    if (windows_applied_.load(std::memory_order_acquire) >= target) return;
-    std::unique_lock<std::mutex> lock(pipe_->done_mu);
-    pipe_->done_cv.wait(lock, [&] {
-      return windows_applied_.load(std::memory_order_relaxed) >= target;
-    });
-  }
-
-  /// Applies one ingestion window. Lockstep: alternating single-writer
-  /// ingest / parallel repair phases, one pair per same-kind chunk,
-  /// fully applied on return. Pipelined: the caller runs only the
-  /// primary-store mutations (and the WAL) and hands repair + publish
-  /// to the pipeline; the returned Status is already exact — it is
-  /// computed from the primary mutations, and the replica replays them
-  /// deterministically. An invalid event stops the window at that chunk
-  /// prefix; the applied prefix is repaired in every shard before the
-  /// window retires.
+  /// Applies one ingestion window: alternating single-writer ingest /
+  /// parallel repair phases, one pair per same-kind chunk, then the
+  /// boundary hook — fully applied on return. An invalid event stops
+  /// the window at that chunk prefix; the applied prefix is repaired in
+  /// every shard before the call returns.
   ///
   /// With durability enabled the window's raw event span is appended to
   /// the WAL and (by default) fsync'd BEFORE anything is applied:
   /// log-ahead plus deterministic ingestion — ApplyEventsInChunks
   /// replays a logged span identically, rejected events included — is
   /// the whole recovery story. A WAL write error fails the window
-  /// before any state changed. WAL records are numbered by windows
-  /// SUBMITTED, so the epoch-aligned framing is untouched by the
-  /// pipeline lag; a checkpoint drains the pipeline to a boundary.
+  /// before any state changed. WAL records are numbered by the window
+  /// counter, so each record's number is the epoch it starts from.
   Status ApplyEvents(std::span<const EdgeEvent> events) {
-    const uint64_t window = windows_submitted_.load(std::memory_order_relaxed);
+    const uint64_t window = windows_applied_;
     if (durable_) {
       const bool hot = metrics_enabled();
       const uint64_t bytes_before = wal_.bytes_written();
@@ -433,8 +334,7 @@ class ShardedEngine {
     }
     const Status result = ApplyWindow(events);
     if (durable_ && durability_.checkpoint_interval_windows > 0 &&
-        windows_submitted_.load(std::memory_order_relaxed) -
-                last_checkpoint_window_ >=
+        windows_applied_ - last_checkpoint_window_ >=
             durability_.checkpoint_interval_windows) {
       const Status ckpt = Checkpoint();
       if (result.ok()) return ckpt;
@@ -450,7 +350,6 @@ class ShardedEngine {
   /// SALSA: authority-side visits). Exactly the flat engine's counts at
   /// any shard count.
   std::vector<int64_t> MergedRankingCounts() const {
-    Drain();
     std::vector<int64_t> acc(num_nodes(), 0);
     for (const auto& shard : shards_) {
       shard->AccumulateRankingCounts(&acc);
@@ -459,7 +358,6 @@ class ShardedEngine {
   }
 
   int64_t MergedRankingTotal() const {
-    Drain();
     int64_t total = 0;
     for (const auto& shard : shards_) total += shard->RankingTotal();
     return total;
@@ -474,7 +372,6 @@ class ShardedEngine {
   /// Sum of all shards' repair stats for the most recent window / the
   /// engine lifetime.
   WalkUpdateStats last_window_stats() const {
-    Drain();
     WalkUpdateStats out;
     for (const auto& shard : shards_) {
       out.Accumulate(shard->last_event_stats());
@@ -482,7 +379,6 @@ class ShardedEngine {
     return out;
   }
   WalkUpdateStats lifetime_stats() const {
-    Drain();
     WalkUpdateStats out;
     for (const auto& shard : shards_) {
       out.Accumulate(shard->lifetime_stats());
@@ -491,7 +387,6 @@ class ShardedEngine {
   }
   /// Per-shard repair stats (index = shard).
   std::vector<WalkUpdateStats> PerShardStats() const {
-    Drain();
     std::vector<WalkUpdateStats> out;
     out.reserve(shards_.size());
     for (const auto& shard : shards_) {
@@ -500,23 +395,10 @@ class ShardedEngine {
     return out;
   }
 
-  /// Test hook: audits the shared slab and every shard's store — and,
-  /// in pipelined mode, the repair replica's bit-level agreement with
-  /// the primary (same epoch, same edge set in canonical slot order).
+  /// Test hook: audits the shared slab and every shard's store.
   void CheckConsistency() const {
-    Drain();
     social_->graph().slab().CheckConsistency();
     for (const auto& shard : shards_) shard->CheckConsistency();
-    if (pipe_ != nullptr) {
-      repair_social_->graph().slab().CheckConsistency();
-      FASTPPR_CHECK_MSG(
-          repair_social_->epoch() == social_->epoch() &&
-              repair_social_->num_edges() == social_->num_edges(),
-          "repair replica epoch/size diverged from primary");
-      FASTPPR_CHECK_MSG(
-          repair_social_->graph().Edges() == social_->graph().Edges(),
-          "repair replica edge set diverged from primary");
-    }
   }
 
   // --- observability (DESIGN.md §9) ----------------------------------
@@ -533,12 +415,10 @@ class ShardedEngine {
   const obs::EngineMetrics& metric_handles() const { return om_; }
   /// Phase timeline: track s < num_shards() carries shard s's repair
   /// spans; writer_track() the caller's ingest/fsync spans;
-  /// pipeline_track() the pipeline thread's replica-advance spans;
-  /// publish_track() the frozen-view publish spans (either mode).
+  /// publish_track() the frozen-view publish spans.
   obs::PhaseTracer* phase_tracer() { return &tracer_; }
   std::size_t writer_track() const { return shards_.size(); }
-  std::size_t pipeline_track() const { return shards_.size() + 1; }
-  std::size_t publish_track() const { return shards_.size() + 2; }
+  std::size_t publish_track() const { return shards_.size() + 1; }
 
   /// Turns the instrumentation's clock reads and atomics on/off at
   /// runtime (on by default). The cold path does no timing at all —
@@ -558,7 +438,7 @@ class ShardedEngine {
   /// full checkpoint of the current state, then opens a fresh WAL, so
   /// the directory is immediately recoverable. Must be called at a
   /// window boundary (i.e. not from inside ApplyEvents — trivially true
-  /// for the single-writer caller); the pipeline is drained to one.
+  /// for the single-writer caller).
   Status EnableDurability(const DurabilityOptions& opts) {
     if (opts.directory.empty()) {
       return Status::InvalidArgument("durability directory is empty");
@@ -584,13 +464,12 @@ class ShardedEngine {
   /// then rotates the WAL — records below the checkpoint's window are
   /// dead, so the log restarts empty. Recovery cost is therefore
   /// bounded by checkpoint_interval_windows regardless of uptime.
-  /// Drains the pipeline first: a checkpoint is always taken at an
-  /// epoch boundary with no repair or publish work in flight.
+  /// Always taken at an epoch boundary: ApplyEvents returns with no
+  /// repair or publish work in flight.
   Status Checkpoint() {
     if (!durable_) {
       return Status::InvalidArgument("durability is not enabled");
     }
-    Drain();
     ArenaWriter body;
     BuildManifest().SaveTo(&body);
     SerializeTo(&body);
@@ -601,7 +480,7 @@ class ShardedEngine {
     }
     FASTPPR_RETURN_IF_ERROR(
         WalWriter::Create(WalPath(), BuildManifest(), &wal_));
-    last_checkpoint_window_ = windows_applied_.load(std::memory_order_relaxed);
+    last_checkpoint_window_ = windows_applied_;
     return Status::OK();
   }
 
@@ -609,10 +488,8 @@ class ShardedEngine {
   /// one byte vector (exactly a checkpoint body). Two engines with
   /// equal SerializeState() have identical graph slabs, walk slabs,
   /// RNG streams, counters and ledgers — every future ApplyEvents
-  /// result is identical. Drains the pipeline (the oracle is defined
-  /// at window boundaries).
+  /// result is identical.
   std::vector<uint8_t> SerializeState() const {
-    Drain();
     ArenaWriter w;
     BuildManifest().SaveTo(&w);
     SerializeTo(&w);
@@ -632,9 +509,8 @@ class ShardedEngine {
   ///                 missing (one file gone, or the WAL skips windows).
   /// Read-only: the directory is untouched, so Recover is idempotent
   /// and the result is not yet durable — call EnableDurability on the
-  /// recovered engine to resume logging. The returned engine runs the
-  /// default (pipelined) execution mode and is drained: replayed
-  /// windows are fully applied.
+  /// recovered engine to resume logging. Replayed windows are fully
+  /// applied when Recover returns.
   static Status Recover(const std::string& directory,
                         std::size_t num_threads,
                         std::unique_ptr<ShardedEngine>* out,
@@ -690,8 +566,7 @@ class ShardedEngine {
     FASTPPR_RETURN_IF_ERROR(engine->RestoreFrom(&r));
     if (info) {
       *info = RecoveryInfo{};
-      info->checkpoint_window =
-          engine->windows_applied_.load(std::memory_order_relaxed);
+      info->checkpoint_window = engine->windows_applied_;
     }
 
     DurableManifest wal_manifest;
@@ -707,11 +582,8 @@ class ShardedEngine {
     for (const WalRecord& rec : records) {
       // Records below the checkpoint's window are from before the
       // checkpoint (a crash can land between the checkpoint rename and
-      // the WAL rotation); the checkpoint already contains them. The
-      // comparison uses windows SUBMITTED — the synchronous counter the
-      // WAL is numbered by.
-      const uint64_t next =
-          engine->windows_submitted_.load(std::memory_order_relaxed);
+      // the WAL rotation); the checkpoint already contains them.
+      const uint64_t next = engine->windows_applied_;
       if (rec.window < next) continue;
       if (rec.window > next) {
         return Status::DataLoss("WAL skips ingestion windows");
@@ -726,7 +598,6 @@ class ShardedEngine {
         info->replayed_events += rec.events.size();
       }
     }
-    engine->Drain();
     *out = std::move(engine);
     return Status::OK();
   }
@@ -750,7 +621,7 @@ class ShardedEngine {
         router_(sharding.num_shards),
         pool_(ResolveThreads(sharding)),
         social_(std::make_shared<SocialStore>(num_nodes)) {
-    Init(sharding, /*for_recovery=*/true);
+    Init(/*for_recovery=*/true);
   }
 
   MonteCarloOptions ShardOptions(const MonteCarloOptions& opts,
@@ -762,65 +633,42 @@ class ShardedEngine {
     return shard_opts;
   }
 
-  void Init(const ShardedOptions& sharding, bool for_recovery) {
-    // Pipelined mode: the repair replica starts as a bit-identical copy
-    // of the primary and replays its mutation sequence chunk by chunk —
-    // the shards bind to IT so repairs of window k read frozen state
-    // while the caller already mutates the primary for window k+1.
-    if (!sharding.lockstep) {
-      repair_social_ =
-          std::make_shared<SocialStore>(social_->num_nodes());
-      repair_social_->CopyGraphFrom(*social_);
-    }
-    const std::shared_ptr<SocialStore>& bound =
-        sharding.lockstep ? social_ : repair_social_;
+  void Init(bool for_recovery) {
     const std::size_t S = router_.num_shards();
     shards_.reserve(S);
     for (std::size_t s = 0; s < S; ++s) {
       if (for_recovery) {
         shards_.push_back(std::make_unique<Engine>(
-            typename Engine::ForRecovery{}, bound,
+            typename Engine::ForRecovery{}, social_,
             ShardOptions(base_options_, s)));
       } else {
         shards_.push_back(std::make_unique<Engine>(
-            bound, ShardOptions(base_options_, s)));
+            social_, ShardOptions(base_options_, s)));
       }
     }
     shard_ptrs_.reserve(S);
     for (const auto& shard : shards_) shard_ptrs_.push_back(shard.get());
     InitMetrics();
-    if (!sharding.lockstep) {
-      pipe_ = std::make_unique<Pipeline>(S,
-                                         sharding.pipeline_queue_capacity,
-                                         sharding.repair_queue_capacity);
-      pipe_->thread = std::thread([this] { PipelineLoop(); });
-    }
   }
 
   void InitMetrics() {
     metrics_registry_ = std::make_shared<obs::MetricsRegistry>();
     om_ = obs::EngineMetrics::Register(metrics_registry_.get(),
                                        router_.num_shards());
-    // Tracks: S repair lanes + writer + pipeline + publish.
-    tracer_.Init(router_.num_shards() + 3);
+    // Tracks: S repair lanes + writer + publish.
+    tracer_.Init(router_.num_shards() + 2);
   }
 
+  /// The ApplyEvents body: one ingestion window processed to
+  /// completion by the calling thread. Shared by the front door and WAL
+  /// replay.
   Status ApplyWindow(std::span<const EdgeEvent> events) {
-    return pipe_ == nullptr ? LockstepApplyWindow(events)
-                            : PipelinedApplyWindow(events);
-  }
-
-  /// The pre-pipeline ApplyEvents body: one ingestion window processed
-  /// to completion by the calling thread. Shared by the lockstep mode's
-  /// front door and WAL replay.
-  Status LockstepApplyWindow(std::span<const EdgeEvent> events) {
     // Instrumentation is gated on one relaxed flag read per window: the
     // cold path takes zero clock reads, and hot-path timing never
     // touches the RNG streams, so the determinism contract is unchanged
     // either way.
     const bool hot = metrics_enabled();
-    const uint64_t window =
-        windows_applied_.load(std::memory_order_relaxed);
+    const uint64_t window = windows_applied_;
     const uint64_t window_start = hot ? obs::NowNanos() : 0;
     uint64_t phase_start = window_start;
     for (auto& shard : shards_) shard->BeginRepairWindow();
@@ -868,8 +716,7 @@ class ShardedEngine {
           if (hot) phase_start = obs::NowNanos();
         });
     const uint64_t epoch = window + 1;
-    windows_submitted_.store(epoch, std::memory_order_relaxed);
-    windows_applied_.store(epoch, std::memory_order_relaxed);
+    windows_applied_ = epoch;
     if (hot) {
       om_.ingest_window->Record(obs::NowNanos() - window_start);
       om_.events_ingested->Add(events.size());
@@ -880,192 +727,8 @@ class ShardedEngine {
         om_.walk_steps->Add(st.walk_steps, s);
       }
     }
-    if (BoundarySink* sink = sink_.load(std::memory_order_acquire)) {
-      BoundaryContext ctx;
-      ctx.epoch = epoch;
-      ctx.shards = std::span<Engine* const>(shard_ptrs_);
-      ctx.graph = &social_->graph();
-      ctx.applied = &applied_;
-      sink->OnWindowBoundary(ctx);
-    }
+    if (sink_ != nullptr) sink_->OnWindowBoundary(QuiescentBoundaryContext());
     return result;
-  }
-
-  /// Pipelined front half (caller thread): primary-store mutations
-  /// only. Each applied chunk ships to the pipeline thread; the window
-  /// boundary marker retires the window over there in FIFO order.
-  Status PipelinedApplyWindow(std::span<const EdgeEvent> events) {
-    const bool hot = metrics_enabled();
-    const uint64_t window =
-        windows_submitted_.load(std::memory_order_relaxed);
-    const uint64_t window_start = hot ? obs::NowNanos() : 0;
-    uint64_t phase_start = window_start;
-    const Status result = ApplyEventsInChunks(
-        events, &chunk_scratch_,
-        [this](const Edge& e, bool insert) {
-          return insert ? social_->AddEdge(e.src, e.dst)
-                        : social_->RemoveEdge(e.src, e.dst);
-        },
-        [this, hot, window, &phase_start](std::span<const Edge> applied,
-                                          bool insert) {
-          router_.AccountWrites(applied);
-          if (hot) {
-            const uint64_t now = obs::NowNanos();
-            om_.ingest_phase->Record(now - phase_start);
-            tracer_.Record(writer_track(), obs::Phase::kIngest, window,
-                           phase_start, now);
-          }
-          pipe::PipelineItem item;
-          item.kind = pipe::PipelineItem::Kind::kChunk;
-          item.insert = insert;
-          item.edges = TakeChunkBuffer();
-          item.edges.assign(applied.begin(), applied.end());
-          pipe_->advance.Push(std::move(item));
-          if (hot) {
-            om_.pipeline_ingest_queue_hw->Set(pipe_->advance.high_water());
-            phase_start = obs::NowNanos();
-          }
-        });
-    // Submitted is bumped BEFORE the boundary marker is queued, so
-    // windows_applied (stored by the pipeline thread when the marker
-    // retires) can never be observed ahead of windows_submitted.
-    windows_submitted_.store(window + 1, std::memory_order_release);
-    pipe::PipelineItem boundary;
-    boundary.kind = pipe::PipelineItem::Kind::kBoundary;
-    boundary.window_events = events.size();
-    pipe_->advance.Push(std::move(boundary));
-    if (hot) {
-      // Caller-side window cost only (queueing included); repair cost
-      // lives in repair_phase and the tracer's lane tracks.
-      om_.ingest_window->Record(obs::NowNanos() - window_start);
-    }
-    return result;
-  }
-
-  /// Pipeline thread main loop: replays chunks into the repair replica,
-  /// fans repairs out per shard, retires window boundaries in order.
-  void PipelineLoop() {
-    pipe::PipelineItem item;
-    bool window_begun = false;
-    while (pipe_->advance.Pop(&item)) {
-      if (!window_begun) {
-        for (auto& shard : shards_) shard->BeginRepairWindow();
-        window_begun = true;
-      }
-      if (item.kind == pipe::PipelineItem::Kind::kChunk) {
-        AdvanceAndRepair(item.insert, item.edges);
-        RecycleChunkBuffer(std::move(item.edges));
-      } else {
-        CompleteWindow(item.window_events);
-        window_begun = false;
-      }
-    }
-  }
-
-  /// One chunk on the pipeline thread: advance the replica (this thread
-  /// is the replica's single writer), then repair every shard against
-  /// the now-frozen replica through the per-shard work queues.
-  void AdvanceAndRepair(bool insert, const std::vector<Edge>& edges) {
-    const bool hot = metrics_enabled();
-    const uint64_t window =
-        windows_applied_.load(std::memory_order_relaxed);
-    const uint64_t t0 = hot ? obs::NowNanos() : 0;
-    DiGraph* g = repair_social_->mutable_graph();
-    for (const Edge& e : edges) {
-      const Status s = insert ? g->AddEdge(e.src, e.dst)
-                              : g->RemoveEdge(e.src, e.dst);
-      // The caller ships only chunks the primary ACCEPTED; the replica
-      // replays the identical sequence from identical state, so a
-      // rejection here means the stores diverged.
-      FASTPPR_CHECK_MSG(s.ok(), "repair replica diverged from primary");
-    }
-    if (applied_.tracking()) {
-      for (const Edge& e : edges) applied_.Record(e);
-    }
-    if (hot) {
-      tracer_.Record(pipeline_track(), obs::Phase::kIngest, window, t0,
-                     obs::NowNanos());
-    }
-    const uint64_t frozen = repair_social_->epoch();
-    const std::size_t S = shards_.size();
-    for (std::size_t s = 0; s < S; ++s) {
-      pipe_->repair_queues.Push(
-          s, pipe::ShardRepairQueues::Task{edges.data(), edges.size(),
-                                           insert});
-      if (hot) {
-        om_.pipeline_repair_queue_hw->Set(
-            pipe_->repair_queues.high_water(s), s);
-      }
-    }
-    pool_.ParallelFor(S, [&](std::size_t s) {
-      pipe::ShardRepairQueues::Task task;
-      while (pipe_->repair_queues.TryPop(s, &task)) {
-        const uint64_t r0 = hot ? obs::NowNanos() : 0;
-        const std::span<const Edge> chunk(task.data, task.count);
-        if (task.insert) {
-          shards_[s]->RepairEdgesInserted(chunk);
-        } else {
-          shards_[s]->RepairEdgesRemoved(chunk);
-        }
-        if (hot) {
-          const uint64_t r1 = obs::NowNanos();
-          om_.repair_phase->Record(r1 - r0);
-          tracer_.Record(s, obs::Phase::kRepair, window, r0, r1);
-        }
-      }
-    });
-    FASTPPR_CHECK_MSG(repair_social_->epoch() == frozen,
-                      "graph mutated during a parallel repair phase");
-  }
-
-  /// Window-boundary retirement on the pipeline thread: hot stats, the
-  /// boundary sink (snapshot publish upstream), then the applied-count
-  /// bump that releases Drain()ers.
-  void CompleteWindow(std::size_t window_events) {
-    const uint64_t epoch =
-        windows_applied_.load(std::memory_order_relaxed) + 1;
-    const bool hot = metrics_enabled();
-    if (hot) {
-      om_.events_ingested->Add(window_events);
-      om_.windows_applied->Set(epoch);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const WalkUpdateStats st = shards_[s]->last_event_stats();
-        om_.walks_repaired->Add(st.segments_updated, s);
-        om_.walk_steps->Add(st.walk_steps, s);
-      }
-    }
-    if (BoundarySink* sink = sink_.load(std::memory_order_acquire)) {
-      BoundaryContext ctx;
-      ctx.epoch = epoch;
-      ctx.shards = std::span<Engine* const>(shard_ptrs_);
-      ctx.graph = &repair_social_->graph();
-      ctx.applied = &applied_;
-      sink->OnWindowBoundary(ctx);
-    }
-    {
-      std::lock_guard<std::mutex> lock(pipe_->done_mu);
-      windows_applied_.store(epoch, std::memory_order_release);
-    }
-    pipe_->done_cv.notify_all();
-  }
-
-  const DiGraph& boundary_graph() const {
-    return (pipe_ != nullptr ? repair_social_ : social_)->graph();
-  }
-
-  std::vector<Edge> TakeChunkBuffer() {
-    std::lock_guard<std::mutex> lock(pipe_->free_mu);
-    if (pipe_->free_bufs.empty()) return {};
-    std::vector<Edge> buf = std::move(pipe_->free_bufs.back());
-    pipe_->free_bufs.pop_back();
-    buf.clear();
-    return buf;
-  }
-  void RecycleChunkBuffer(std::vector<Edge>&& buf) {
-    std::lock_guard<std::mutex> lock(pipe_->free_mu);
-    if (pipe_->free_bufs.size() < pipe_->free_cap) {
-      pipe_->free_bufs.push_back(std::move(buf));
-    }
   }
 
   DurableManifest BuildManifest() const {
@@ -1077,7 +740,7 @@ class ShardedEngine {
     m.update_policy = static_cast<uint8_t>(base_options_.update_policy);
     m.engine_tag = Engine::kPersistTag;
     m.num_shards = static_cast<uint32_t>(router_.num_shards());
-    m.next_window = windows_applied_.load(std::memory_order_relaxed);
+    m.next_window = windows_applied_;
     return m;
   }
 
@@ -1085,13 +748,9 @@ class ShardedEngine {
   /// router ledger, shared store (graph slab + call counters), then
   /// every shard engine (walk slabs + RNG + stats). The transient
   /// chunk scratch and applied-edge feed are excluded: both are empty
-  /// at every window boundary. The repair replica is excluded too — it
-  /// is bit-identical to the primary at every drained boundary and is
-  /// rebuilt from it on restore, so the serialized form is identical
-  /// between the pipelined and lockstep modes (the differential tests'
-  /// oracle depends on this).
+  /// at every window boundary.
   void SerializeTo(ArenaWriter* w) const {
-    w->Pod(windows_applied_.load(std::memory_order_relaxed));
+    w->Pod(windows_applied_);
     router_.SaveTo(w);
     social_->SaveTo(w);
     w->Pod(static_cast<uint64_t>(shards_.size()));
@@ -1109,15 +768,11 @@ class ShardedEngine {
       return Status::Corruption(
           "checkpoint shard count disagrees with manifest");
     }
-    if (repair_social_ != nullptr) {
-      repair_social_->CopyGraphFrom(*social_);
-    }
     for (auto& shard : shards_) {
       if (!shard->LoadFrom(r)) return r->ToStatus("checkpoint shard");
     }
     if (!r->AtEnd()) return r->ToStatus("checkpoint body");
-    windows_applied_.store(windows, std::memory_order_relaxed);
-    windows_submitted_.store(windows, std::memory_order_relaxed);
+    windows_applied_ = windows;
     return Status::OK();
   }
 
@@ -1128,44 +783,16 @@ class ShardedEngine {
     return durability_.directory + "/" + kWalFileName;
   }
 
-  /// Pipelined-mode state (null in lockstep). The unique_ptr keeps the
-  /// non-copyable queue/thread machinery out of the lockstep layout and
-  /// lets const getters drain through it.
-  struct Pipeline {
-    Pipeline(std::size_t shards, std::size_t advance_cap,
-             std::size_t repair_cap)
-        : advance(advance_cap),
-          repair_queues(shards, repair_cap),
-          free_cap(advance_cap + 2) {}
-    pipe::BoundedQueue<pipe::PipelineItem> advance;
-    pipe::ShardRepairQueues repair_queues;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::mutex free_mu;
-    std::vector<std::vector<Edge>> free_bufs;  ///< chunk buffer recycling
-    std::size_t free_cap;
-    std::thread thread;  ///< last: joined before members die
-  };
-
   MonteCarloOptions base_options_;
   ShardRouter router_;
   ThreadPool pool_;
-  std::shared_ptr<SocialStore> social_;          ///< primary (caller writes)
-  std::shared_ptr<SocialStore> repair_social_;   ///< pipelined replica
-                                                 ///  (pipeline thread
-                                                 ///  writes; shards read)
+  std::shared_ptr<SocialStore> social_;  ///< caller writes, shards read
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<Engine*> shard_ptrs_;  ///< raw view for BoundaryContext
   std::vector<Edge> chunk_scratch_;
-  /// Windows the caller has finished submitting (synchronous; WAL
-  /// numbering) vs windows fully applied (repairs + boundary sink).
-  /// Equal in lockstep and at every drained boundary; applied trails
-  /// submitted by the pipeline depth otherwise.
-  std::atomic<uint64_t> windows_submitted_{0};
-  std::atomic<uint64_t> windows_applied_{0};
+  uint64_t windows_applied_ = 0;  ///< epoch; also the WAL numbering
   slab::DirtyFeed<Edge> applied_;
-  std::atomic<BoundarySink*> sink_{nullptr};
-  std::unique_ptr<Pipeline> pipe_;
+  BoundarySink* sink_ = nullptr;
 
   // Durability state (inert until EnableDurability).
   bool durable_ = false;

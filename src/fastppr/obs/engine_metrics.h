@@ -54,12 +54,6 @@ struct EngineMetrics {
   Counter* windows_applied = nullptr;       ///< ingestion epoch
   Counter* serve_queue_depth_hw = nullptr;  ///< per-class admission-queue
                                             ///  high-water depth [class]
-  // Pipelined-engine stage queues (DESIGN.md §11); all report
-  // high-water depths, each written by its single producer.
-  Counter* pipeline_ingest_queue_hw = nullptr;   ///< caller→pipeline
-  Counter* pipeline_repair_queue_hw = nullptr;   ///< per-shard work
-                                                 ///  queues [shard]
-  Counter* pipeline_publish_queue_hw = nullptr;  ///< boundary→publisher
 
   // --- latency histograms (nanoseconds; exported in µs) --------------
   LatencyHistogram* ingest_phase = nullptr;   ///< per-chunk writer phase
@@ -110,12 +104,6 @@ struct EngineMetrics {
     m.serve_cache_evict = reg->RegisterCounter("serve_cache_evict", 8);
     m.windows_applied = reg->RegisterGauge("windows_applied");
     m.serve_queue_depth_hw = reg->RegisterGauge("serve_queue_depth_hw", 3);
-    m.pipeline_ingest_queue_hw =
-        reg->RegisterGauge("pipeline_ingest_queue_hw");
-    m.pipeline_repair_queue_hw =
-        reg->RegisterGauge("pipeline_repair_queue_hw", shards);
-    m.pipeline_publish_queue_hw =
-        reg->RegisterGauge("pipeline_publish_queue_hw");
     m.ingest_phase = reg->RegisterHistogram("ingest_phase");
     m.repair_phase = reg->RegisterHistogram("repair_phase");
     m.publish_phase = reg->RegisterHistogram("publish_phase");

@@ -7,10 +7,10 @@
 // parallel repair phases, and the query service appends publish phases
 // at window boundaries. The tracer records each phase as a completed
 // [start_ns, end_ns] span on a per-track timeline (track s = shard s's
-// repair work; the extra writer track carries ingest/publish/fsync), so
-// a whole bench run can be exported as a chrome://tracing JSON and
-// summarized into per-phase utilization fractions — the honest baseline
-// a pipelined-ingest restructure has to beat.
+// repair work; a writer track carries ingest/fsync and a publish track
+// the frozen-view publishes), so a whole bench run can be exported as a
+// chrome://tracing JSON and summarized into per-phase utilization
+// fractions.
 //
 // Recording takes a per-track mutex (uncontended in the engine: one
 // thread owns a track at a time within a phase) and is bounded: each

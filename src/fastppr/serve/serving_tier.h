@@ -426,8 +426,14 @@ class ServingTier {
   /// returns true on a hit. The key's epoch is the CURRENT frozen
   /// epoch, so entries computed against retired views are unreachable
   /// by construction — a concurrent rotation can only turn a would-be
-  /// hit into a miss, never serve a stale entry as fresh.
+  /// hit into a miss, never serve a stale entry as fresh. A hit pins no
+  /// view, so the probe itself arms the frozen refresh a pin would have
+  /// armed (a stream of hits on hot keys still advances the view), and
+  /// it misses while the view lags the published epoch (the miss's pin
+  /// refreshes it if the writer is idle): a hit always serves the epoch
+  /// published when it was probed.
   bool TryServeFromCache(const Request& req) {
+    service_->DemandFrozenRefresh();
     ResultCacheKey key;
     key.frozen_epoch = service_->frozen_epoch();
     key.seed = req.node;
@@ -436,8 +442,9 @@ class ServingTier {
     key.exclude_friends = req.exclude_friends;
     const std::size_t stripe = ResultCache::ShardOf(key);
     const bool hot = service_->engine()->metrics_enabled();
+    const uint64_t fresh_epoch = service_->published_epoch();
     ResultCacheEntry entry;
-    if (!cache_.Lookup(key, &entry)) {
+    if (key.frozen_epoch != fresh_epoch || !cache_.Lookup(key, &entry)) {
       if (hot) om_.serve_cache_miss->Add(1, stripe);
       return false;
     }
@@ -446,7 +453,7 @@ class ServingTier {
     resp.cache_hit = true;
     resp.snapshot.min_epoch = entry.min_epoch;
     resp.snapshot.max_epoch = entry.max_epoch;
-    resp.fresh_epoch = service_->published_epoch();
+    resp.fresh_epoch = fresh_epoch;
     resp.ranked = std::move(entry.ranked);
     Tally(kTallyAdmittedFull);
     if (hot) {

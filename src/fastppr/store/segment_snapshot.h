@@ -2,7 +2,7 @@
 #define FASTPPR_STORE_SEGMENT_SNAPSHOT_H_
 
 // Frozen, reader-safe views of the walk segments and the adjacency for
-// concurrent personalized serving (see DESIGN.md sections 6 and 11).
+// concurrent personalized serving (see DESIGN.md section 6).
 //
 // PersonalizedTopK stitches a walk through the stored segments and takes
 // manual steps on the social graph — both of which the single-writer
@@ -11,7 +11,7 @@
 // publishes immutable views at window boundaries; readers pin a view
 // with a shared_ptr copy and walk it with plain loads.
 //
-// Since the pipelined-publish refactor the views are STRUCTURALLY SHARED
+// The views are STRUCTURALLY SHARED
 // (store/shared_snapshot.h): a frozen table is an extent chain over
 // refcounted root chunks, each publish allocates only the rows the
 // window's dirty feeds reported (~1× the delta), and clean chunks are
@@ -19,16 +19,13 @@
 // the last reader unpins. The pooled full-copy buffers this header used
 // to rotate (PR 4) are gone.
 //
-// Publish is split into two halves so the pipelined engine can overlap
-// them with ingestion:
-//   * Capture (boundary thread): reads the store/graph at a frozen
-//     window boundary into a self-contained CapturedRows payload — the
-//     only half that touches live engine state.
-//   * Assemble (publisher thread): folds the capture into the builder's
-//     shared chain and yields the immutable frozen view. Touches only
-//     builder state, so it runs concurrently with the next window's
-//     ingest and repair.
-// The lockstep engine simply calls both back to back on the writer.
+// Publish is split into two halves, run back to back by the query
+// service at a window boundary:
+//   * Capture: reads the store/graph at a frozen window boundary into a
+//     self-contained CapturedRows payload — the only half that touches
+//     live engine state.
+//   * Assemble: folds the capture into the builder's shared chain and
+//     yields the immutable frozen view. Touches only builder state.
 
 #include <algorithm>
 #include <cstdint>
@@ -222,9 +219,8 @@ class FrozenAdjacency {
 /// Capture/assemble pair for ONE shard's frozen segment table. The
 /// dirty feed passed to Capture carries GLOBAL segment ids (the store's
 /// native addressing); the builder translates through the shared
-/// SegmentOwnership map. Thread contract: Capture on the boundary
-/// thread, Assemble on the publisher thread, never concurrently with
-/// each other for the same window (the publish queue orders them).
+/// SegmentOwnership map. Thread contract: one publishing thread at a
+/// time calls Capture then Assemble for each window.
 class SegmentSnapshotBuilder {
  public:
   SegmentSnapshotBuilder(
@@ -235,7 +231,7 @@ class SegmentSnapshotBuilder {
                   shard_ < ownership_->num_shards());
   }
 
-  /// Boundary-thread half: reads the store at a frozen window boundary.
+  /// Capture half: reads the store at a frozen window boundary.
   /// `dirty` is the store's dirty-segment feed since the last capture
   /// (global ids, duplicate-inclusive; the caller clears it afterwards);
   /// `force_full` captures the whole table (first publish, untracked
@@ -293,7 +289,7 @@ class SegmentSnapshotBuilder {
     }
   }
 
-  /// Publisher-thread half: folds the capture into the shared chain.
+  /// Assemble half: folds the capture into the shared chain.
   std::shared_ptr<const FrozenSegments> Assemble(
       snap::CapturedRows<uint64_t>&& cap, uint64_t epoch) {
     return std::shared_ptr<const FrozenSegments>(
@@ -327,9 +323,7 @@ class AdjacencySnapshotBuilder {
 
   /// `applied` are the graph mutations since the last capture: edge
   /// (u, v) dirties u's out-row and (when captured) v's in-row. `g`
-  /// must be the graph frozen at the capture's window boundary — in the
-  /// pipelined engine that is the repair replica, NOT the primary the
-  /// caller keeps mutating.
+  /// must be the graph frozen at the capture's window boundary.
   void Capture(const DiGraph& g, std::span<const Edge> applied,
                bool force_full, AdjacencyCapture* out) {
     if (force_full) {

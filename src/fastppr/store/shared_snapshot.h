@@ -1,7 +1,7 @@
 #ifndef FASTPPR_STORE_SHARED_SNAPSHOT_H_
 #define FASTPPR_STORE_SHARED_SNAPSHOT_H_
 
-// Structural-sharing frozen row tables (DESIGN.md §11).
+// Structural-sharing frozen row tables (DESIGN.md §6).
 //
 // The pooled-RCU snapshot model (PR 4) brought a frozen buffer up to
 // date by REPLAYING the dirty feed into it — but every pooled buffer
@@ -30,12 +30,12 @@
 // (clustered dirt: covered ≈ union). Both cost O(union), never O(table),
 // and both reset the chain so lookup cost stays bounded.
 //
-// Thread contract: CapturedRows are produced by ONE capture thread
-// (Capture* in segment_snapshot.h) and consumed by ONE publisher thread
-// calling SharedRowBuilder::Publish; published SharedRows are immutable
-// and readable from any thread. SharedPublishStats fields are relaxed
-// atomics because the capture and publisher threads account into the
-// same struct concurrently.
+// Thread contract: CapturedRows are produced (Capture* in
+// segment_snapshot.h) and consumed (SharedRowBuilder::Publish) by ONE
+// publishing thread at a time; published SharedRows are immutable and
+// readable from any thread. SharedPublishStats fields are relaxed
+// atomics because monitoring threads read them while a publish
+// accounts into them.
 
 #include <algorithm>
 #include <atomic>
@@ -52,8 +52,8 @@ namespace fastppr::snap {
 /// One window's captured row content: the sorted, duplicate-free dense
 /// row ids that changed plus their concatenated post-window content.
 /// `full` marks a whole-table capture (rows empty; offsets indexes every
-/// row 0..num_rows). Produced on the capture thread, moved into the
-/// publisher — never shared.
+/// row 0..num_rows). Produced by Capture, moved into Publish — never
+/// shared.
 template <typename Word>
 struct CapturedRows {
   std::vector<uint64_t> rows;     ///< dirty dense row ids (delta only)
@@ -389,8 +389,16 @@ class SharedRowBuilder {
       return head->Row(r);
     };
 
+    // One chain lookup per union row; both consolidations copy from
+    // these spans (all point into `cap`, the chain or the root, which
+    // outlive this call).
+    std::vector<std::span<const Word>> content;
+    content.reserve(rows.size());
     std::size_t union_words = 0;
-    for (uint64_t r : rows) union_words += Lookup(r).size();
+    for (uint64_t r : rows) {
+      content.push_back(Lookup(r));
+      union_words += content.back().size();
+    }
     const std::size_t union_bytes =
         union_words * sizeof(Word) + rows.size() * 2 * sizeof(uint64_t);
 
@@ -413,12 +421,18 @@ class SharedRowBuilder {
       c->chain_len = 0;
       c->chunks = root->chunks;
       std::size_t bytes = 0;
+      std::size_t u = 0;  // cursor into the sorted union rows
       for (uint64_t ci : covered) {
         const std::size_t first = static_cast<std::size_t>(ci) * rpc;
         const std::size_t end = std::min(first + rpc, root->num_rows);
+        const RowChunk<Word>& old = *root->chunks[ci];
         auto chunk = std::make_shared<RowChunk<Word>>(first);
         for (std::size_t r = first; r < end; ++r) {
-          chunk->Append(Lookup(r));
+          if (u < rows.size() && rows[u] == r) {
+            chunk->Append(content[u++]);
+          } else {
+            chunk->Append(old.Row(r - first));
+          }
         }
         bytes += chunk->MemoryBytes();
         c->chunks[ci] = std::move(chunk);
@@ -441,10 +455,8 @@ class SharedRowBuilder {
     merged.offsets.reserve(merged.rows.size() + 1);
     merged.offsets.push_back(0);
     merged.arena.reserve(union_words);
-    for (uint64_t r : merged.rows) {
-      const auto content = Lookup(r);
-      merged.arena.insert(merged.arena.end(), content.begin(),
-                          content.end());
+    for (const std::span<const Word> row : content) {
+      merged.arena.insert(merged.arena.end(), row.begin(), row.end());
       merged.offsets.push_back(merged.arena.size());
     }
     auto c = std::make_shared<Core>();

@@ -355,12 +355,63 @@ TEST(ResultCacheTierTest, PublishRotationInvalidatesByConstruction) {
   EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
 }
 
+// Hot keys answered from the cache must not hold the frozen view back.
+// A hit pins no view, so the probe itself arms the frozen refresh, and
+// a probe misses while the view lags the published epoch. With the
+// writer idle between windows, every answer, hit or executed, serves
+// the epoch just published, including after read-free windows.
+TEST(ResultCacheTierTest, CacheHitsFollowPublishedEpoch) {
+  ServingTierOptions topt;
+  topt.num_workers = 2;
+  const std::size_t n = 200;
+  TierFixture f(n, topt);
+
+  Collector col;
+  std::size_t submitted = 0;
+  const auto ask = [&]() -> Response {
+    f.tier.Submit(PersonalizedRequest(5, 13, &col));
+    ++submitted;
+    EXPECT_TRUE(col.WaitFor(submitted, 10'000));
+    std::lock_guard<std::mutex> lock(col.mu);
+    return col.responses.back();
+  };
+  const auto ingest_window = [&](uint64_t seed) {
+    const auto events = InsertEvents(n, 40, seed);
+    ASSERT_TRUE(
+        f.service
+            .Ingest(std::span<const EdgeEvent>(events.data(), events.size()))
+            .ok());
+  };
+
+  std::size_t hits = 0;
+  for (uint64_t w = 0; w < 6; ++w) {
+    ingest_window(600 + w);
+    // Every third round also ingests a read-free window first.
+    if (w % 3 == 2) ingest_window(700 + w);
+    for (int rep = 0; rep < 3; ++rep) {
+      const Response r = ask();
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.snapshot.min_epoch, f.service.published_epoch())
+          << "window " << w << " repeat " << rep;
+      EXPECT_EQ(r.snapshot.max_epoch, r.snapshot.min_epoch);
+      EXPECT_EQ(r.fresh_epoch, f.service.published_epoch());
+      if (rep > 0) EXPECT_TRUE(r.cache_hit);
+      hits += r.cache_hit ? 1 : 0;
+    }
+    EXPECT_EQ(f.service.frozen_epoch(), f.service.published_epoch());
+  }
+  EXPECT_EQ(hits, 12u);
+  EXPECT_EQ(f.tier.outcomes().resolved(), f.tier.submitted());
+}
+
 // The TSan stress (runs in the TSan CI job): batched workers + the
 // epoch-keyed cache under repeat-seed traffic, racing the ingest/
 // publish rotation. Every cache hit must be a well-formed OK answer
 // with a single-epoch snapshot — a rotation may turn hits into misses,
-// never serve a torn or mixed-epoch entry — and every submission
-// resolves exactly once.
+// never serve a torn or mixed-epoch entry, nor one older than the
+// epoch published when it was probed — and every submission resolves
+// exactly once. Once the writer stops, every hot key serves the final
+// published epoch.
 TEST(ResultCacheTierTest, ConcurrentBatchedCacheServingRacesIngest) {
   ServingTierOptions topt;
   topt.num_workers = 2;
@@ -419,8 +470,26 @@ TEST(ResultCacheTierTest, ConcurrentBatchedCacheServingRacesIngest) {
     if (r.cache_hit) {
       EXPECT_TRUE(r.status.ok());
       EXPECT_EQ(r.snapshot.min_epoch, r.snapshot.max_epoch);
+      EXPECT_EQ(r.snapshot.min_epoch, r.fresh_epoch);
       EXPECT_FALSE(r.ranked.empty());
     }
+  }
+
+  Collector after;
+  for (std::size_t key = 0; key < 8; ++key) {
+    Request req;
+    req.cls = QueryClass::kPersonalized;
+    req.node = static_cast<NodeId>(key * 7);
+    req.k = 10;
+    req.walk_length = 400;
+    req.rng_seed = 5;
+    req.on_done = after.Callback();
+    f.tier.Submit(std::move(req));
+    ASSERT_TRUE(after.WaitFor(key + 1, 10'000));
+  }
+  for (const Response& r : after.responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.snapshot.min_epoch, f.service.published_epoch());
   }
 }
 

@@ -13,17 +13,21 @@
 //    with live ingestion (the PR 4 segment-snapshot serving path; this
 //    file is the TSan CI job's target, so those stress tests run under
 //    ThreadSanitizer on every push);
-//  * the pipelined execution model (PR 9) is bit-identical to the
-//    --lockstep escape hatch at EVERY published epoch (SerializeState
-//    differential at S in {1, 4}), and the three overlapped stages
-//    survive a TSan stress run against PersonalizedTopK readers with a
-//    mid-pipeline durability quiesce + bit-identical Recover (the
-//    `*Pipelined*` filter the CI TSan job runs at FASTPPR_STRESS_THREADS).
+//  * the engine's complete durable state is bit-identical at EVERY
+//    window boundary across worker thread counts at S=4, and equal to
+//    the flat engine's at S=1 (per-epoch SerializeState oracle);
+//  * ingestion survives a TSan stress run against PersonalizedTopK
+//    readers with a mid-stream Checkpoint + bit-identical Recover (the
+//    CI TSan job reruns `*PerEpoch*:*MidStreamRecovery*` at
+//    FASTPPR_STRESS_THREADS readers);
+//  * Quiesce() leaves the demand-gated frozen views at the published
+//    epoch, for batched reads as well as unbatched ones.
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -38,6 +42,7 @@
 #include "fastppr/engine/sharded_engine.h"
 #include "fastppr/engine/thread_pool.h"
 #include "fastppr/graph/generators.h"
+#include "fastppr/store/arena_io.h"
 #include "fastppr/util/shard.h"
 
 namespace fastppr {
@@ -206,31 +211,18 @@ TEST(ShardedEngineTest, FourShardsInvariantAcrossThreadCounts) {
 TEST(ShardedEngineTest, ShardsShareOneSocialStore) {
   // PR 3: the per-shard graph replicas are gone — all S shards read ONE
   // epoch-versioned Social Store, so repair-side graph memory is paid
-  // once. In the default pipelined mode that shared store is the repair
-  // replica (distinct from the caller-owned primary); in lockstep mode
-  // it is the primary itself.
+  // once. That store is the primary the single-writer caller mutates;
+  // no second graph copy exists.
   const std::size_t n = 120;
   const std::size_t S = 4;
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.2, 3),
                                             ShardedOptions{S, 2});
-  ASSERT_FALSE(engine.lockstep());
   for (std::size_t s = 0; s < S; ++s) {
-    EXPECT_EQ(&engine.shard(s).social_store(),
-              &engine.shard(0).social_store());
-    EXPECT_EQ(&engine.shard(s).graph(), &engine.shard(0).graph());
-  }
-  EXPECT_NE(&engine.shard(0).social_store(), &engine.social_store());
-
-  ShardedOptions lopts{S, 2};
-  lopts.lockstep = true;
-  ShardedEngine<IncrementalPageRank> lockstep(n, Opts(2, 0.2, 3), lopts);
-  ASSERT_TRUE(lockstep.lockstep());
-  for (std::size_t s = 0; s < S; ++s) {
-    EXPECT_EQ(&lockstep.shard(s).social_store(),
-              &lockstep.social_store());
-    EXPECT_EQ(&lockstep.shard(s).graph(), &lockstep.graph());
+    EXPECT_EQ(&engine.shard(s).social_store(), &engine.social_store());
+    EXPECT_EQ(&engine.shard(s).graph(), &engine.graph());
   }
   EXPECT_GT(engine.GraphMemoryBytes(), 0u);
+  EXPECT_EQ(engine.RepairReplicaBytes(), 0u);
 
   const auto events = MixedStream(n, 77, 0.2);
   const uint64_t epoch_before = engine.social_store().epoch();
@@ -242,44 +234,58 @@ TEST(ShardedEngineTest, ShardsShareOneSocialStore) {
   // phases (a mutation during parallel repair would have aborted).
   EXPECT_EQ(engine.social_store().epoch(), epoch_before + events.size());
   EXPECT_EQ(engine.social_store().writes(), events.size());
-  // CheckConsistency drains the pipeline and proves the repair replica
-  // converged to the primary's exact edge set and epoch.
   engine.CheckConsistency();
 }
 
-TEST(ShardedEngineTest, PipelinedMatchesLockstepBitForBitPerEpoch) {
-  // The tentpole oracle: the pipelined engine (ingest k+1 overlapping
-  // repair k overlapping publish k-1) is bit-identical to the
-  // --lockstep escape hatch at EVERY published epoch — same serialized
-  // graph slabs, walk slabs, RNG streams, counters and ledgers — for
-  // S in {1, 4} and differing worker thread counts.
+/// The walk-and-graph state one shard carries, in the sharded engine's
+/// serialization order (shared store, then the engine's private state).
+template <typename E>
+std::vector<uint8_t> StoreAndEngineState(const SocialStore& social,
+                                         const E& engine) {
+  ArenaWriter w;
+  social.SaveTo(&w);
+  engine.SaveTo(&w);
+  return w.TakeBuffer();
+}
+
+TEST(ShardedEngineTest, SerializeStateEqualPerEpochAcrossThreadsAndFlat) {
+  // The determinism oracle, checked at EVERY window boundary rather than
+  // only at the end of the stream: at S=4 the complete serialized state
+  // (graph slab, walk slabs, RNG streams, counters, ledgers) is
+  // identical for 1, 2 and 4 worker threads; at S=1 the store and shard
+  // state equal the flat engine's byte for byte.
   const std::size_t n = 150;
   const auto events = MixedStream(n, 131, 0.2);
   const MonteCarloOptions mc = Opts(3, 0.2, 71);
-  for (std::size_t S : {1ul, 4ul}) {
-    ShardedOptions popts{S, 4};
-    ShardedOptions lopts{S, 2};
-    lopts.lockstep = true;
-    ShardedEngine<IncrementalPageRank> pipelined(n, mc, popts);
-    ShardedEngine<IncrementalPageRank> lockstep(n, mc, lopts);
-    ASSERT_FALSE(pipelined.lockstep());
-    ASSERT_TRUE(lockstep.lockstep());
 
-    uint64_t epoch = 0;
-    StreamWindows(events, [&](std::span<const EdgeEvent> w) {
-      ASSERT_TRUE(pipelined.ApplyEvents(w).ok());
-      ASSERT_TRUE(lockstep.ApplyEvents(w).ok());
-      ++epoch;
-      // SerializeState drains the pipeline: the comparison is defined
-      // at the window boundary the lockstep engine is already at.
-      ASSERT_EQ(pipelined.SerializeState(), lockstep.SerializeState())
-          << "S=" << S << " epoch=" << epoch;
-      ASSERT_EQ(pipelined.windows_applied(), epoch);
-    });
-    pipelined.CheckConsistency();
-    lockstep.CheckConsistency();
-    EXPECT_EQ(pipelined.TopK(10), lockstep.TopK(10));
+  std::vector<std::unique_ptr<ShardedEngine<IncrementalPageRank>>> four;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    four.push_back(std::make_unique<ShardedEngine<IncrementalPageRank>>(
+        n, mc, ShardedOptions{4, threads}));
   }
+  ShardedEngine<IncrementalPageRank> one(n, mc, ShardedOptions{1, 2});
+  IncrementalPageRank flat(n, mc);
+
+  uint64_t epoch = 0;
+  StreamWindows(events, [&](std::span<const EdgeEvent> w) {
+    for (auto& engine : four) ASSERT_TRUE(engine->ApplyEvents(w).ok());
+    ASSERT_TRUE(one.ApplyEvents(w).ok());
+    ASSERT_TRUE(flat.ApplyEvents(w).ok());
+    ++epoch;
+    const std::vector<uint8_t> reference = four[0]->SerializeState();
+    for (std::size_t i = 1; i < four.size(); ++i) {
+      ASSERT_EQ(four[i]->SerializeState(), reference)
+          << "threads=" << four[i]->num_threads() << " epoch=" << epoch;
+    }
+    ASSERT_EQ(four[0]->windows_applied(), epoch);
+    ASSERT_EQ(StoreAndEngineState(one.social_store(), one.shard(0)),
+              StoreAndEngineState(flat.social_store(), flat))
+        << "S=1 vs flat, epoch=" << epoch;
+  });
+  for (const auto& engine : four) engine->CheckConsistency();
+  one.CheckConsistency();
+  EXPECT_EQ(four[0]->TopK(10), four[2]->TopK(10));
+  EXPECT_EQ(one.TopK(10), flat.TopK(10));
 }
 
 TEST(ShardedEngineTest, SharedGraphEquivalenceOnMixedStream) {
@@ -437,7 +443,7 @@ TEST(QueryServiceTest, PersonalizedTopKMatchesFlatWalkerAtOneShard) {
   }
   ASSERT_TRUE(flat.ApplyEvents(events).ok());
   ASSERT_TRUE(service.Ingest(events).ok());
-  service.Quiesce();  // pipelined publishes are async; wait for the flip
+  service.Quiesce();
 
   PersonalizedPageRankWalker walker(&flat.walk_store(),
                                     &flat.social_store());
@@ -852,15 +858,16 @@ TEST(QueryServiceTest, PersonalizedSalsaServesAcrossShards) {
   }
 }
 
-TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
-  // TSan target for the pipeline itself: the three overlapped stages
-  // (caller ingest, pool repair, publisher assemble) race against
-  // PersonalizedTopK readers on the frozen views while the WAL logs
-  // every window; a Checkpoint mid-stream quiesces the pipeline with
-  // windows still in flight, and a post-hoc Recover must reproduce the
-  // engine bit for bit (the crash-recovery oracle composed with the
-  // pipeline). Reader count scales with FASTPPR_STRESS_THREADS (the CI
-  // TSan job runs this filter at 4).
+TEST(QueryServiceTest, StressReadersWithMidStreamRecovery) {
+  // TSan target for ingestion under load: the caller's ingest, the
+  // pool's repair lanes and the inline publishes race against
+  // PersonalizedTopK readers (and their idle-writer self-refreshes) on
+  // the frozen views while the WAL logs every window; a Checkpoint
+  // mid-stream snapshots a boundary with readers still running, and a
+  // post-hoc Recover must reproduce the engine bit for bit (the
+  // crash-recovery oracle composed with concurrent serving). Reader
+  // count scales with FASTPPR_STRESS_THREADS (the CI TSan job runs this
+  // filter at 4).
   const std::size_t n = 120;
   const auto events = MixedStream(n, 143, 0.2);
   std::size_t readers = 2;
@@ -868,7 +875,7 @@ TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
     readers = std::max<std::size_t>(1, std::atoi(env));
   }
   const std::string dir =
-      ::testing::TempDir() + "fastppr_pipelined_stress_ckpt";
+      ::testing::TempDir() + "fastppr_stress_recovery_ckpt";
   std::filesystem::remove_all(dir);
 
   ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.25, 83),
@@ -912,8 +919,7 @@ TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
                                                        hi - i))
                     .ok());
     if (++window_idx == 7) {
-      // Mid-pipeline quiesce: windows may still be in repair/publish
-      // flight; Checkpoint must drain them and snapshot a boundary.
+      // Mid-stream checkpoint while the readers keep pinning views.
       ASSERT_TRUE(engine.Checkpoint().ok());
     }
     i = hi;
@@ -931,6 +937,58 @@ TEST(QueryServiceTest, PipelinedStressReadersAndMidPipelineRecovery) {
                   .ok());
   EXPECT_EQ(recovered->SerializeState(), engine.SerializeState());
   std::filesystem::remove_all(dir);
+}
+
+TEST(QueryServiceTest, QuiesceLeavesFrozenViewFreshForBatchedReads) {
+  // Frozen publishes are demand-gated: windows ingested with no
+  // personalized read in flight skip them, so the frozen view falls
+  // behind published_epoch(). Quiesce() must bring it level, so a
+  // batched read right after it serves published_epoch(); and with the
+  // writer idle a batched pin must refresh a lagging view itself, like
+  // the unbatched one.
+  using Service = QueryService<IncrementalPageRank>;
+  const std::size_t n = 120;
+  const auto events = MixedStream(n, 157, 0.2);
+  ShardedEngine<IncrementalPageRank> engine(n, Opts(2, 0.25, 5),
+                                            ShardedOptions{4, 2});
+  Service service(&engine);
+  const std::size_t half = events.size() / 2;
+  const auto ingest = [&](std::span<const EdgeEvent> w) {
+    ASSERT_TRUE(service.Ingest(w).ok());
+  };
+  StreamWindows(std::vector<EdgeEvent>(events.begin(), events.begin() + half),
+                ingest);
+  ASSERT_GT(service.published_epoch(), 0u);
+  EXPECT_LT(service.frozen_epoch(), service.published_epoch());
+
+  service.Quiesce();
+  EXPECT_EQ(service.published_epoch(), engine.windows_applied());
+  EXPECT_EQ(service.frozen_epoch(), service.published_epoch());
+
+  using Item = Service::PersonalizedBatchQuery;
+  Service::PersonalizedScratch scratch;
+  Item q;
+  q.seed = 3;
+  q.k = 5;
+  q.walk_length = 800;
+  q.rng_seed = 11;
+  service.PersonalizedTopKInto(std::span<Item>(&q, 1), &scratch);
+  ASSERT_TRUE(q.status.ok()) << q.status.ToString();
+  EXPECT_EQ(q.snapshot.min_epoch, service.published_epoch());
+  EXPECT_EQ(q.snapshot.max_epoch, service.published_epoch());
+
+  // Without Quiesce: the batched read arms the gate, so the next window
+  // publishes; after more read-free windows the view lags again, and
+  // with the writer idle the batched pin refreshes it itself, exactly
+  // like the unbatched one.
+  StreamWindows(std::vector<EdgeEvent>(events.begin() + half, events.end()),
+                ingest);
+  EXPECT_LT(service.frozen_epoch(), service.published_epoch());
+  service.PersonalizedTopKInto(std::span<Item>(&q, 1), &scratch);
+  ASSERT_TRUE(q.status.ok()) << q.status.ToString();
+  EXPECT_EQ(q.snapshot.min_epoch, service.published_epoch());
+  EXPECT_EQ(q.snapshot.max_epoch, service.published_epoch());
+  engine.CheckConsistency();
 }
 
 }  // namespace

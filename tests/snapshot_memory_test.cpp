@@ -204,8 +204,8 @@ TEST(SlabMemoryRegressionTest, BytesPerEdgeWithinCommittedBound) {
   EXPECT_GE(slab_bpe, 14.0);
 }
 
-// Full-capture publish through the capture/assemble split (the lockstep
-// publish path in one helper).
+// Full-capture publish through the capture/assemble split (the query
+// service's publish path in one helper).
 std::shared_ptr<const FrozenSegments> FullPublish(
     SegmentSnapshotBuilder* b, const WalkStore& store, uint64_t epoch) {
   snap::CapturedRows<uint64_t> cap;
@@ -369,7 +369,6 @@ TEST(SharedSnapshotTest, DeltaPublishAllocatesOnlyDirtyChunks) {
                   .ApplyEvents(std::span<const EdgeEvent>(
                       events.data() + most, events.size() - most))
                   .ok());
-  engine.Drain();  // pipelined repairs land before the dirty feed is read
   ASSERT_FALSE(store->dirty_overflowed());
   const std::size_t dirty_entries = store->dirty_segments().size();
   ASSERT_GT(dirty_entries, 0u);
@@ -489,7 +488,6 @@ TEST(SharedSnapshotTest, PublishRotationUnderChurnStaysCorrect) {
       window.push_back(EdgeEvent{EdgeEvent::Kind::kInsert, edges[i]});
     }
     ASSERT_TRUE(engine.ApplyEvents(window).ok());
-    engine.Drain();
     pinned.push_back(DeltaPublish(&builder, store, w));
     EXPECT_LE(pinned.back()->shared_rows().chain_length(), 16u);
     // Keep a 3-epoch pin window; older epochs retire (chunks freed).
@@ -503,6 +501,70 @@ TEST(SharedSnapshotTest, PublishRotationUnderChurnStaysCorrect) {
     const auto full = FullPublish(&fresh, *store, w);
     ExpectSameContent(*pinned.back(), *full);
   }
+}
+
+TEST(SharedSnapshotTest, ConsolidationKeepsNewestRowsOnRebaseAndMerge) {
+  // Consolidation folds the chain into a rebased root (clustered dirt)
+  // or one union extent (scattered dirt). Both must serve every row's
+  // newest content, including rows rewritten in several windows and
+  // rows no window touched; checked against a plain reference table
+  // after every publish, over enough windows for several
+  // consolidations of each kind.
+  constexpr std::size_t kRows = 32 * 64;
+  std::vector<std::vector<uint64_t>> table(kRows);
+  Rng rng(71);
+  const auto fill = [&](std::size_t r, uint64_t epoch) {
+    table[r].assign(rng.UniformIndex(5), epoch * kRows + r);
+  };
+  const auto capture_rows = [&](const std::vector<uint64_t>& rows) {
+    snap::CapturedRows<uint64_t> cap;
+    cap.rows = rows;
+    cap.offsets.push_back(0);
+    for (uint64_t r : rows) {
+      cap.arena.insert(cap.arena.end(), table[r].begin(), table[r].end());
+      cap.offsets.push_back(cap.arena.size());
+    }
+    return cap;
+  };
+  const auto expect_table = [&](const snap::SharedRows<uint64_t>& view) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const auto row = view.Row(r);
+      ASSERT_EQ(std::vector<uint64_t>(row.begin(), row.end()), table[r])
+          << "row " << r;
+    }
+  };
+
+  snap::SharedRowBuilder<uint64_t> builder;
+  std::vector<uint64_t> all(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    all[r] = r;
+    fill(r, 0);
+  }
+  snap::CapturedRows<uint64_t> full = capture_rows(all);
+  full.rows.clear();
+  full.full = true;
+  expect_table(*builder.Publish(std::move(full), 0));
+
+  for (uint64_t w = 1; w <= 80; ++w) {
+    std::vector<uint64_t> rows;
+    if ((w / 20) % 2 == 0) {
+      // Clustered: every row of four neighbouring chunks.
+      const uint64_t base = (w % 5) * 3 * 32;
+      for (uint64_t r = base; r < base + 4 * 32; ++r) rows.push_back(r);
+    } else {
+      // Scattered: one row in every fourth chunk.
+      for (uint64_t c = w % 4; c < kRows / 32; c += 4) {
+        rows.push_back(c * 32 + (w * 7) % 32);
+      }
+    }
+    for (uint64_t r : rows) fill(r, w);
+    const auto view = builder.Publish(capture_rows(rows), w);
+    EXPECT_LE(view->chain_length(), 16u);
+    expect_table(*view);
+  }
+  const auto stats = builder.stats()->Read();
+  EXPECT_GE(stats.rebases, 2u);
+  EXPECT_GE(stats.merges, 2u);
 }
 
 }  // namespace
